@@ -22,9 +22,8 @@ from .families import (
 from .hunt import (
     EnergyClass,
     HuntResult,
-    classify_by_energy,
-    find_borderenergetic,
-    find_equienergetic_pairs,
+    SequenceRecord,
+    full_scan,
 )
 from .linalg import bareiss_determinant
 from .linalg import charpoly as charpoly_from_matrix
@@ -60,6 +59,7 @@ __all__ = [
     "FamilyPair",
     "HuntResult",
     "RootEnclosure",
+    "SequenceRecord",
     "SpectralSummary",
     "VerificationReport",
     "adjacency_matrix",
@@ -67,7 +67,6 @@ __all__ = [
     "char_poly",
     "char_poly_of_sequence",
     "charpoly_from_matrix",
-    "classify_by_energy",
     "closed_form_char_poly",
     "cubic_root_localization",
     "edge_count",
@@ -75,11 +74,10 @@ __all__ = [
     "enumerate_connected",
     "exact_energy_equal",
     "family_pair",
-    "find_borderenergetic",
-    "find_equienergetic_pairs",
     "format_blocks",
     "format_sequence",
     "from_blocks",
+    "full_scan",
     "gamma",
     "index_sequences",
     "is_cospectral",

@@ -191,7 +191,7 @@ def criterion_3() -> CriterionResult:
               f"determinant route on {oracle_bad}; erratum: the transcribed "
               f"form (xy positive, constant negative) mismatched the "
               f"determinant route on {literal_bad}/20{first}")
-    return CriterionResult(3, "four-block-identity-as-transcribed",
+    return CriterionResult(3, "four-block-identity",
                            engine_bad == 0 and oracle_bad == 0, detail,
                            time.perf_counter() - started)
 

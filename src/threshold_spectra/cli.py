@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--borderenergetic", action="store_true",
                         help="report only borderenergetic candidates")
     p_hunt.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default ${hunt.JOBS_ENV_VAR} or 1)")
+                        help=(f"worker processes (default ${hunt.JOBS_ENV_VAR} "
+                              "or 1, capped at the CPU count)"))
     p_hunt.add_argument("--allow-large", action="store_true")
     p_hunt.add_argument("--csv", metavar="PATH",
                         help="write per-sequence rows with class ids")
@@ -169,16 +170,16 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
     precision = _parse_precision(args.precision)
-    records, classes, result = hunt.full_scan(
+    result = hunt.full_scan(
         args.n, precision, processes=args.jobs, allow_large=args.allow_large)
     if args.csv:
-        _write_hunt_csv(args.csv, records, classes)
+        _write_hunt_csv(args.csv, result)
+    border = [format_sequence(b) for b in result.borderenergetic]
     if args.borderenergetic:
         results = {
             "n": args.n,
             "precision": args.precision,
-            "borderenergetic": [format_sequence(b)
-                                for b in result.borderenergetic],
+            "borderenergetic": border,
             "stats": result.stats,
         }
         return results, 0
@@ -202,24 +203,24 @@ def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
                     for bits, poly in cls.members
                 ],
             }
-            for k, cls in enumerate(result.classes)
+            for k, cls in enumerate(result.equienergetic)
         ],
-        "borderenergetic": [format_sequence(b) for b in result.borderenergetic],
+        "borderenergetic": border,
         "stats": result.stats,
     }
     return results, 0
 
 
-def _write_hunt_csv(path: str, records: list, classes: list) -> None:
+def _write_hunt_csv(path: str, result: hunt.HuntResult) -> None:
     class_of = {}
-    for class_id, cls in enumerate(classes):
+    for class_id, cls in enumerate(result.classes):
         for bits, _ in cls.members:
             class_of[bits] = class_id
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sequence", "energy_lo", "energy_hi", "char_poly",
                          "class_id"])
-        for rec in records:
+        for rec in result.records:
             writer.writerow([
                 format_sequence(rec.bits),
                 decimal_lower(rec.energy_lo),

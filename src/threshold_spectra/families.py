@@ -30,7 +30,7 @@ from .intpoly import (
 from .roots import RootEnclosure, isolate_real_roots
 from .sequences import Blocks, block_counts, format_blocks, from_blocks
 from .spectra import _nontrivial_parts, char_poly, energy
-from .util import decimal_lower, decimal_upper
+from .util import decimal_lower, decimal_upper, fraction_str
 
 Rational = Union[int, Fraction]
 
@@ -185,7 +185,7 @@ class VerificationReport:
             "closed_form_match": self.closed_form_match,
             "noncospectral": self.noncospectral,
             "energy_overlap": self.energy_overlap,
-            "energy_gap_bound": float(self.energy_gap_bound),
+            "energy_gap_bound": fraction_str(self.energy_gap_bound),
             "below_complete": self.below_complete,
             "within_sharp_bound": self.within_sharp_bound,
             "exact_equal_energy": self.exact_equal_energy,

@@ -57,6 +57,16 @@ class UnionFind:
 
 
 @dataclass(frozen=True)
+class SequenceRecord:
+    """Per-sequence scan output: exact char poly and energy enclosure."""
+
+    bits: Bits
+    char_poly: Poly
+    energy_lo: Fraction
+    energy_hi: Fraction
+
+
+@dataclass(frozen=True)
 class EnergyClass:
     """Sequences whose energy enclosures overlap transitively."""
 
@@ -71,30 +81,47 @@ class EnergyClass:
 
 @dataclass(frozen=True)
 class HuntResult:
+    """One full scan of order n: every connected sequence in enumeration
+    order, the complete energy partition and the scan's statistics."""
+
     n: int
+    records: tuple[SequenceRecord, ...]
     classes: tuple[EnergyClass, ...]
-    borderenergetic: tuple[Bits, ...]
     stats: dict
 
+    @property
+    def equienergetic(self) -> tuple[EnergyClass, ...]:
+        """Classes containing at least two noncospectral members.
 
-@dataclass(frozen=True)
-class _ScanRecord:
-    bits: Bits
-    poly: Poly
-    lo: Fraction
-    hi: Fraction
+        Membership means energy-equal within the working precision; spectra
+        are compared exactly.
+        """
+        return tuple(c for c in self.classes if len(c.char_polys) >= 2)
+
+    @property
+    def borderenergetic(self) -> tuple[Bits, ...]:
+        """Sequences whose energy enclosure contains 2n - 2, except the
+        complete graph itself.  Containment is necessary, not sufficient:
+        candidates."""
+        target = Fraction(2 * self.n - 2)
+        complete = (0,) + (1,) * (self.n - 1)
+        return tuple(rec.bits for rec in self.records
+                     if rec.energy_lo <= target <= rec.energy_hi
+                     and rec.bits != complete)
 
 
 def _resolve_jobs(processes: Optional[int]) -> int:
-    if processes is not None:
-        return max(1, processes)
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
+    if processes is None:
+        env = os.environ.get(JOBS_ENV_VAR)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+            processes = int(env)
+        except ValueError as exc:
+            raise ValueError(
+                f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from exc
+    # The scan is CPU-bound: workers beyond the CPU count never help.
+    return max(1, min(processes, os.cpu_count() or 1))
 
 
 def _check_order(n: int, allow_large: bool) -> None:
@@ -107,157 +134,95 @@ def _check_order(n: int, allow_large: bool) -> None:
         )
 
 
-def _scan_range(args: tuple[int, int, int, Fraction]) -> list[tuple[int, Poly, Fraction, Fraction]]:
-    """Energies for one contiguous slice of the enumeration (worker-safe)."""
+def _scan_range(args: tuple[int, int, int, Fraction]) -> list[SequenceRecord]:
+    """Records for one contiguous slice of the enumeration (worker-safe)."""
     n, start, stop, precision = args
-    cache: dict[Poly, tuple[Fraction, Fraction]] = {}
     out = []
     for idx in range(start, stop):
         bits = nth_connected(n, idx)
-        blocks = to_blocks(bits)
-        m0, m1, rest = _nontrivial_parts(blocks)
-        cached = cache.get(rest)
-        if cached is None:
-            lo, hi, _ = _energy_from_parts(0, rest, precision)
-            cache[rest] = (lo, hi)
-        else:
-            lo, hi = cached
+        m0, m1, rest = _nontrivial_parts(to_blocks(bits))
+        lo, hi, _ = _energy_from_parts(0, rest, precision)
         full = mul_xk(mul(rest, poly_pow((1, 1), m1)), m0)
-        out.append((idx, full, lo + m1, hi + m1))
+        out.append(SequenceRecord(bits, full, lo + m1, hi + m1))
     return out
 
 
 def _scan(n: int, precision: Fraction, processes: Optional[int],
-          allow_large: bool) -> list[_ScanRecord]:
+          allow_large: bool) -> list[SequenceRecord]:
     _check_order(n, allow_large)
     total = 1 << (n - 2)
     jobs = _resolve_jobs(processes)
     if jobs <= 1 or total < 64:
-        raw = _scan_range((n, 0, total, precision))
-    else:
-        step = -(-total // jobs)
-        chunks = [(n, k, min(k + step, total), precision)
-                  for k in range(0, total, step)]
-        with get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_scan_range, chunks)
-        raw = [item for part in parts for item in part]
-        raw.sort(key=lambda rec: rec[0])
-    return [_ScanRecord(nth_connected(n, idx), poly, lo, hi)
-            for idx, poly, lo, hi in raw]
+        return _scan_range((n, 0, total, precision))
+    step = -(-total // jobs)
+    chunks = [(n, k, min(k + step, total), precision)
+              for k in range(0, total, step)]
+    # Pool.map returns the chunks' results in input order, so the records
+    # stay in enumeration order.
+    with get_context("fork").Pool(len(chunks)) as pool:
+        parts = pool.map(_scan_range, chunks)
+    return [rec for part in parts for rec in part]
 
 
-def _group(records: list[_ScanRecord]) -> list[EnergyClass]:
+def _group(records: tuple[SequenceRecord, ...]) -> tuple[EnergyClass, ...]:
     order = sorted(range(len(records)),
-                   key=lambda k: (records[k].lo, records[k].hi, records[k].bits))
+                   key=lambda k: (records[k].energy_lo, records[k].energy_hi,
+                                  records[k].bits))
     uf = UnionFind(len(records))
     prev = -1
     reach = Fraction(0)
     for k in order:
         rec = records[k]
-        if prev >= 0 and rec.lo <= reach:
+        if prev >= 0 and rec.energy_lo <= reach:
             uf.union(prev, k)
-            reach = max(reach, rec.hi)
+            reach = max(reach, rec.energy_hi)
         else:
-            reach = rec.hi
+            reach = rec.energy_hi
         prev = k
     buckets: dict[int, list[int]] = {}
     for k in range(len(records)):
         buckets.setdefault(uf.find(k), []).append(k)
     classes = []
     for indices in buckets.values():
-        members = tuple(sorted((records[k].bits, records[k].poly)
+        members = tuple(sorted((records[k].bits, records[k].char_poly)
                                for k in indices))
-        lo = min(records[k].lo for k in indices)
-        hi = max(records[k].hi for k in indices)
+        lo = min(records[k].energy_lo for k in indices)
+        hi = max(records[k].energy_hi for k in indices)
         classes.append(EnergyClass(energy_lo=lo, energy_hi=hi, members=members))
     classes.sort(key=lambda c: (c.energy_lo, c.energy_hi, c.members[0][0]))
-    return classes
-
-
-@dataclass(frozen=True)
-class SequenceRecord:
-    """Per-sequence scan output: exact char poly and energy enclosure."""
-
-    bits: Bits
-    char_poly: Poly
-    energy_lo: Fraction
-    energy_hi: Fraction
+    return tuple(classes)
 
 
 def full_scan(n: int, precision: Rational, processes: Optional[int] = None,
-              allow_large: bool = False) -> tuple[list[SequenceRecord],
-                                                  list[EnergyClass],
-                                                  HuntResult]:
-    """One full scan: per-sequence records, the complete energy partition,
-    and the filtered hunt result."""
+              allow_large: bool = False) -> HuntResult:
+    """Scan every connected sequence of order n: per-sequence records, the
+    complete energy partition and its statistics."""
     prec = Fraction(precision)
     if prec <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
     started = time.perf_counter()
-    records = _scan(n, prec, processes, allow_large)
+    records = tuple(_scan(n, prec, processes, allow_large))
     classes = _group(records)
-    interesting = tuple(c for c in classes if len(c.char_polys) >= 2)
-    target = Fraction(2 * n - 2)
-    complete = (0,) + (1,) * (n - 1)
-    border = tuple(rec.bits for rec in records
-                   if rec.lo <= target <= rec.hi and rec.bits != complete)
+    stats: dict = {}
+    result = HuntResult(n=n, records=records, classes=classes, stats=stats)
+    interesting = result.equienergetic
     exact_pairs = 0
     for cls in interesting:
-        seqs = [bits for bits, _ in cls.members]
-        for a in range(len(seqs)):
-            for b in range(a + 1, len(seqs)):
-                if cls.members[a][1] != cls.members[b][1]:
-                    if exact_energy_equal(to_blocks(seqs[a]), to_blocks(seqs[b])):
-                        exact_pairs += 1
-    stats = {
+        for a, (bits_a, poly_a) in enumerate(cls.members):
+            for bits_b, poly_b in cls.members[a + 1:]:
+                if poly_a != poly_b and exact_energy_equal(to_blocks(bits_a),
+                                                           to_blocks(bits_b)):
+                    exact_pairs += 1
+    stats.update({
         "graphs": len(records),
-        "distinct_char_polys": len({rec.poly for rec in records}),
+        "distinct_char_polys": len({rec.char_poly for rec in records}),
         "classes_total": len(classes),
         "equienergetic_classes": len(interesting),
         "noncospectral_pairs_exactly_equal": exact_pairs,
-        "borderenergetic_candidates": len(border),
+        "borderenergetic_candidates": len(result.borderenergetic),
         "elapsed_seconds": round(time.perf_counter() - started, 3),
-    }
-    result = HuntResult(n=n, classes=interesting, borderenergetic=border,
-                        stats=stats)
-    out = [SequenceRecord(rec.bits, rec.poly, rec.lo, rec.hi)
-           for rec in records]
-    return out, classes, result
-
-
-def classify_and_find(n: int, precision: Rational, processes: Optional[int] = None,
-                      allow_large: bool = False) -> tuple[list[EnergyClass], HuntResult]:
-    """The complete energy partition plus the filtered hunt result."""
-    _, classes, result = full_scan(n, precision, processes, allow_large)
-    return classes, result
-
-
-def classify_by_energy(n: int, precision: Rational, processes: Optional[int] = None,
-                       allow_large: bool = False) -> list[EnergyClass]:
-    """Partition all connected sequences of order n by overlapping energy."""
-    classes, _ = classify_and_find(n, precision, processes, allow_large)
-    return classes
-
-
-def find_equienergetic_pairs(n: int, precision: Rational,
-                             processes: Optional[int] = None,
-                             allow_large: bool = False) -> HuntResult:
-    """Classes containing at least two noncospectral members.
-
-    Membership means energy-equal within the working precision; spectra
-    are compared exactly.
-    """
-    _, result = classify_and_find(n, precision, processes, allow_large)
+    })
     return result
-
-
-def find_borderenergetic(n: int, precision: Rational,
-                         processes: Optional[int] = None,
-                         allow_large: bool = False) -> list[Bits]:
-    """Sequences whose energy enclosure contains 2n - 2, except the complete
-    graph itself.  Containment is necessary, not sufficient: candidates."""
-    _, result = classify_and_find(n, precision, processes, allow_large)
-    return list(result.borderenergetic)
 
 
 __all__ = [
@@ -265,9 +230,5 @@ __all__ = [
     "HuntResult",
     "SequenceRecord",
     "UnionFind",
-    "classify_and_find",
-    "classify_by_energy",
-    "find_borderenergetic",
-    "find_equienergetic_pairs",
     "full_scan",
 ]

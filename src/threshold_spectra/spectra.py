@@ -115,8 +115,12 @@ def gamma(blocks: Blocks, length: int) -> int:
     b = len(counts)
     if not 0 <= length <= b:
         raise ValueError(f"length must lie in [0, {b}], got {length}")
+    return _gamma_from_counts(counts, length)
+
+
+def _gamma_from_counts(counts: tuple[int, ...], length: int) -> int:
     total = 0
-    for seq in _index_seqs(b, length):
+    for seq in _index_seqs(len(counts), length):
         prod = 1
         for idx in seq:
             prod *= counts[idx - 1]
@@ -140,27 +144,18 @@ def _q_from_counts(counts: tuple[int, ...]) -> Poly:
     m = (b - r0) // 2
     r1 = 1 - r0
 
-    def g(length: int) -> int:
-        total = 0
-        for seq in _index_seqs(b, length):
-            prod = 1
-            for idx in seq:
-                prod *= counts[idx - 1]
-            total += prod
-        return total
-
     xyk: Poly = (1,)
     # first sum, shifted by x^r0
     terms: list[Poly] = []
     for k in range(m + 1):
-        coeff = (-1) ** (m - k) * g(b - 2 * k - r0)
+        coeff = (-1) ** (m - k) * _gamma_from_counts(counts, b - 2 * k - r0)
         terms.append(mul_xk(mul_scalar(xyk, coeff), r0))
         if k < m:
             xyk = mul(xyk, _XY)
     # second sum, shifted by x^r1
     xyk = (1,)
     for k in range(m - r1 + 1):
-        coeff = (-1) ** (m - k) * g(b - 2 * k - r1)
+        coeff = (-1) ** (m - k) * _gamma_from_counts(counts, b - 2 * k - r1)
         terms.append(mul_xk(mul_scalar(xyk, coeff), r1))
         if k < m - r1:
             xyk = mul(xyk, _XY)

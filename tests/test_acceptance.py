@@ -27,7 +27,7 @@ class TestAcceptance:
     def test_criterion_02_multiplicity_formulas(self):
         _check(2)
 
-    def test_criterion_03_four_block_identity_as_transcribed(self):
+    def test_criterion_03_four_block_identity(self):
         # Corrected identity: -(a1a2+a1a4+a3a4)xy and +a1a2a3a4, the
         # determinant of the block quotient matrix.  It must match the
         # engine's Q_4 and, padded by x^s0 (x+1)^s1, the determinant-route

@@ -129,6 +129,12 @@ class TestHunt:
         assert code == 2
         assert "allow_large" in err
 
+    def test_non_integer_jobs_env_var(self, monkeypatch):
+        monkeypatch.setenv("THRESHOLD_SPECTRA_JOBS", "two")
+        code, _, err = run_cli("hunt", "--n", "8")
+        assert code == 2
+        assert "THRESHOLD_SPECTRA_JOBS" in err
+
 
 class TestSelftest:
     def test_subset_passes(self):

@@ -105,6 +105,11 @@ class TestVerification:
         assert rec["ok"] is True
         assert rec["family"] == "four"
 
+    def test_record_gap_bound_exact(self):
+        report = verify_family(FamilyId.FOUR_BLOCK, 2, TOL)
+        record = report.to_record()
+        assert Fraction(record["energy_gap_bound"]) == report.energy_gap_bound
+
 
 class TestExactEnergyEquality:
     def test_constructed_pair_equal(self):

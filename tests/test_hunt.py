@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra.hunt import (
-    UnionFind,
-    classify_and_find,
-    classify_by_energy,
-    find_borderenergetic,
-    find_equienergetic_pairs,
-)
+from threshold_spectra import hunt
+from threshold_spectra.hunt import UnionFind, full_scan
 from threshold_spectra.sequences import enumerate_connected, parse_sequence
 from threshold_spectra.spectra import energy, is_cospectral
 
@@ -30,12 +25,12 @@ class TestUnionFind:
 
 class TestClassify:
     def test_order_three_two_singletons(self):
-        classes = classify_by_energy(3, PRECISION)
+        classes = full_scan(3, PRECISION).classes
         assert len(classes) == 2
         assert all(len(c.members) == 1 for c in classes)
 
     def test_partition_covers_everything(self):
-        classes = classify_by_energy(8, PRECISION)
+        classes = full_scan(8, PRECISION).classes
         members = [bits for cls in classes for bits, _ in cls.members]
         assert len(members) == 64
         assert set(members) == set(enumerate_connected(8))
@@ -43,8 +38,8 @@ class TestClassify:
             assert list(cls.members) == sorted(cls.members)
 
     def test_tightening_never_merges(self):
-        coarse = classify_by_energy(10, Fraction(1, 10 ** 6))
-        fine = classify_by_energy(10, TIGHT)
+        coarse = full_scan(10, Fraction(1, 10 ** 6)).classes
+        fine = full_scan(10, TIGHT).classes
         coarse_of = {}
         for k, cls in enumerate(coarse):
             for bits, _ in cls.members:
@@ -55,19 +50,19 @@ class TestClassify:
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
-            classify_by_energy(25, PRECISION)
+            full_scan(25, PRECISION)
         with pytest.raises(ValueError):
-            classify_by_energy(1, PRECISION)
+            full_scan(1, PRECISION)
 
 
 class TestEquienergeticSearch:
     def test_order_two_empty(self):
-        result = find_equienergetic_pairs(2, PRECISION)
-        assert result.classes == ()
+        result = full_scan(2, PRECISION)
+        assert result.equienergetic == ()
 
     def test_reported_pairs_are_noncospectral(self):
-        result = find_equienergetic_pairs(10, PRECISION)
-        for cls in result.classes:
+        result = full_scan(10, PRECISION)
+        for cls in result.equienergetic:
             polys = {p for _, p in cls.members}
             assert len(polys) >= 2
             seqs = [bits for bits, _ in cls.members]
@@ -75,7 +70,7 @@ class TestEquienergeticSearch:
                        for i, a in enumerate(seqs) for b in seqs[i + 1:])
 
     def test_order_nine_matches_pairwise_bruteforce(self):
-        result = find_equienergetic_pairs(9, TIGHT)
+        result = full_scan(9, TIGHT)
         intervals = {bits: energy(bits, TIGHT)
                      for bits in enumerate_connected(9)}
         brute_pairs = set()
@@ -86,14 +81,14 @@ class TestEquienergeticSearch:
                 if ea[0] <= eb[1] and eb[0] <= ea[1] and not is_cospectral(a, b):
                     brute_pairs.add((a, b))
         class_of = {}
-        for k, cls in enumerate(result.classes):
+        for k, cls in enumerate(result.equienergetic):
             for bits, _ in cls.members:
                 class_of[bits] = k
         for a, b in brute_pairs:
             assert class_of.get(a) is not None
             assert class_of.get(a) == class_of.get(b)
         reported = set()
-        for cls in result.classes:
+        for cls in result.equienergetic:
             seqs = [bits for bits, _ in cls.members]
             for i, a in enumerate(seqs):
                 for b in seqs[i + 1:]:
@@ -102,7 +97,7 @@ class TestEquienergeticSearch:
         assert brute_pairs <= reported
 
     def test_stats_shape(self):
-        result = find_equienergetic_pairs(8, PRECISION)
+        result = full_scan(8, PRECISION)
         assert result.stats["graphs"] == 64
         assert result.stats["classes_total"] >= 1
         assert "elapsed_seconds" in result.stats
@@ -110,15 +105,15 @@ class TestEquienergeticSearch:
 
 class TestBorderenergetic:
     def test_order_three_empty(self):
-        assert find_borderenergetic(3, PRECISION) == []
+        assert full_scan(3, PRECISION).borderenergetic == ()
 
     def test_complete_graph_always_excluded(self):
         for n in range(4, 9):
-            hits = find_borderenergetic(n, PRECISION)
+            hits = full_scan(n, PRECISION).borderenergetic
             assert (0,) + (1,) * (n - 1) not in hits
 
     def test_order_nine_candidates(self):
-        hits = find_borderenergetic(9, TIGHT)
+        hits = full_scan(9, TIGHT).borderenergetic
         expected = {
             parse_sequence("(0^1 1^1 0^1 1^6)"),
             parse_sequence("(0^1 1^4 0^1 1^3)"),
@@ -126,14 +121,69 @@ class TestBorderenergetic:
         assert set(hits) == expected
 
     def test_consistent_across_precisions(self):
-        assert set(find_borderenergetic(9, PRECISION)) == set(
-            find_borderenergetic(9, TIGHT))
+        assert set(full_scan(9, PRECISION).borderenergetic) == set(
+            full_scan(9, TIGHT).borderenergetic)
 
 
 class TestParallel:
     def test_parallel_matches_sequential(self):
-        sequential = classify_and_find(9, PRECISION, processes=1)
-        parallel = classify_and_find(9, PRECISION, processes=2)
-        assert sequential[0] == parallel[0]
-        assert sequential[1].classes == parallel[1].classes
-        assert sequential[1].borderenergetic == parallel[1].borderenergetic
+        sequential = full_scan(9, PRECISION, processes=1)
+        parallel = full_scan(9, PRECISION, processes=2)
+        assert sequential.records == parallel.records
+        assert sequential.classes == parallel.classes
+        assert sequential.equienergetic == parallel.equienergetic
+        assert sequential.borderenergetic == parallel.borderenergetic
+
+
+class _InProcessPool:
+    """Stands in for a worker pool: records its size, maps in-process."""
+
+    def __init__(self, sizes, size):
+        sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Context:
+            def Pool(self, size):
+                return _InProcessPool(sizes, size)
+
+        monkeypatch.setattr(hunt, "get_context", lambda method: Context())
+        monkeypatch.delenv(hunt.JOBS_ENV_VAR, raising=False)
+        return sizes
+
+    def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(hunt.os, "cpu_count", lambda: 4)
+        result = full_scan(10, PRECISION, processes=100000)
+        assert pool_sizes == [4]
+        assert result.records == full_scan(10, PRECISION, processes=1).records
+
+    def test_pool_capped_at_chunk_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(hunt.os, "cpu_count", lambda: 1000)
+        result = full_scan(8, PRECISION, processes=100000)
+        assert pool_sizes == [64]
+        assert result.records == full_scan(8, PRECISION, processes=1).records
+
+    def test_env_var_capped(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(hunt.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv(hunt.JOBS_ENV_VAR, "100000")
+        full_scan(8, PRECISION)
+        assert pool_sizes == [2]
+
+    def test_non_integer_env_var_rejected(self, pool_sizes, monkeypatch):
+        monkeypatch.setenv(hunt.JOBS_ENV_VAR, "many")
+        with pytest.raises(ValueError):
+            full_scan(8, PRECISION)
+        assert pool_sizes == []
