@@ -213,8 +213,16 @@ def _subdivide(g: Poly) -> tuple[Optional[tuple[int, int]],
 
 
 def _separate(encs: list[_Enclosure]) -> None:
-    """Refine until the closed enclosures are pairwise strictly disjoint."""
-    for _ in range(400):
+    """Refine until the closed enclosures are pairwise strictly disjoint.
+
+    This terminates: the enclosures hold pairwise distinct roots, because
+    the square-free factors are coprime and each factor's point roots are
+    divided out of the polynomial its intervals isolate.  So a clash needs
+    a non-point member at least half as wide as the least gap between the
+    roots, and every clashing non-point enclosure halves around its own
+    root: only finitely many rounds can clash.
+    """
+    while True:
         encs.sort(key=lambda e: (e.lo, e.hi))
         clash = False
         for a, b in zip(encs, encs[1:]):
@@ -224,7 +232,6 @@ def _separate(encs: list[_Enclosure]) -> None:
                 b.halve()
         if not clash:
             return
-    raise RuntimeError("failed to separate root enclosures")
 
 
 def isolate_real_roots(p: Poly, width: Rational) -> list[RootEnclosure]:

@@ -10,7 +10,16 @@ r1 = 1 - r0 and y = x + 1,
 
 where gamma_B(l) sums, over all increasing parity-alternating index
 sequences of length l in [1, B] whose last term has the parity of B, the
-products of the indexed block counts.  The full characteristic polynomial
+products of the indexed block counts.  The companion factor never
+enumerates the sequences (there are F(B+2) of them): with E_j[l] the sum
+over the sequences that start at index j and c_j the j-th block count,
+
+    E_j[1] = c_j if j has the parity of B, else 0
+    E_j[l] = c_j * sum_{k > j, k - j odd} E_k[l - 1]
+
+and gamma_B(l) = sum_j E_j[l] with gamma_B(0) = 1.  One right-to-left pass
+that keeps a running suffix sum per parity yields every gamma_B(l) in
+O(B^2) integer operations.  The full characteristic polynomial
 is then x^s0 (x+1)^s1 Q_B(x) with s0, s1 the surplus counts of the 0- and
 1-blocks; when the first block is a single 0 the final (x+1) of the total
 multiplicity surfaces inside Q_B itself.  Everything here is normalized
@@ -21,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .intpoly import (
@@ -77,15 +85,23 @@ def multiplicity_minus_one(blocks: Blocks) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _index_seqs(b: int, length: int) -> tuple[tuple[int, ...], ...]:
-    if length == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
+def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
+    """All increasing, parity-alternating index sequences of the given
+    length in [1, b] whose last term has the parity of b.
+
+    Length 0 yields the singleton containing the empty sequence.  This
+    enumeration is the specification that `gamma` is tested against; the
+    companion factor never enumerates.
+    """
+    if b < 1:
+        raise ValueError(f"need a positive block count, got {b}")
+    if not 0 <= length <= b:
+        raise ValueError(f"length must lie in [0, {b}], got {length}")
+    out: set[tuple[int, ...]] = set()
 
     def extend(pos: int, start: int, prefix: tuple[int, ...]) -> None:
         if pos == length:
-            out.append(prefix)
+            out.add(prefix)
             return
         parity = (b + (length - 1 - pos)) % 2
         first = start if start % 2 == parity else start + 1
@@ -93,20 +109,7 @@ def _index_seqs(b: int, length: int) -> tuple[tuple[int, ...], ...]:
             extend(pos + 1, v + 1, prefix + (v,))
 
     extend(0, 1, ())
-    return tuple(out)
-
-
-def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
-    """All increasing, parity-alternating index sequences of the given
-    length in [1, b] whose last term has the parity of b.
-
-    Length 0 yields the singleton containing the empty sequence.
-    """
-    if b < 1:
-        raise ValueError(f"need a positive block count, got {b}")
-    if not 0 <= length <= b:
-        raise ValueError(f"length must lie in [0, {b}], got {length}")
-    return set(_index_seqs(b, length))
+    return out
 
 
 def gamma(blocks: Blocks, length: int) -> int:
@@ -115,17 +118,23 @@ def gamma(blocks: Blocks, length: int) -> int:
     b = len(counts)
     if not 0 <= length <= b:
         raise ValueError(f"length must lie in [0, {b}], got {length}")
-    return _gamma_from_counts(counts, length)
+    return _gammas(counts)[length]
 
 
-def _gamma_from_counts(counts: tuple[int, ...], length: int) -> int:
-    total = 0
-    for seq in _index_seqs(len(counts), length):
-        prod = 1
-        for idx in seq:
-            prod *= counts[idx - 1]
-        total += prod
-    return total
+def _gammas(counts: tuple[int, ...]) -> list[int]:
+    """[gamma_B(0), ..., gamma_B(B)] in one right-to-left pass, O(B^2)."""
+    b = len(counts)
+    # sums[p][l] totals E_k[l] over the indices k > j of parity p.  A
+    # virtual index B + 1 with E_{B+1}[0] = 1 ends every sequence, so
+    # E_j[1] = c_j exactly when j has the parity of B, and gamma_B(0) = 1.
+    sums = [[0] * (b + 1), [0] * (b + 1)]
+    sums[(b + 1) % 2][0] = 1
+    for j in range(b, 0, -1):
+        c = counts[j - 1]
+        own, other = sums[j % 2], sums[(j + 1) % 2]
+        for length in range(b - j + 1, 0, -1):
+            own[length] += c * other[length - 1]
+    return [e + o for e, o in zip(*sums)]
 
 
 def q_polynomial(blocks: Blocks) -> Poly:
@@ -144,18 +153,19 @@ def _q_from_counts(counts: tuple[int, ...]) -> Poly:
     m = (b - r0) // 2
     r1 = 1 - r0
 
+    g = _gammas(counts)
     xyk: Poly = (1,)
     # first sum, shifted by x^r0
     terms: list[Poly] = []
     for k in range(m + 1):
-        coeff = (-1) ** (m - k) * _gamma_from_counts(counts, b - 2 * k - r0)
+        coeff = (-1) ** (m - k) * g[b - 2 * k - r0]
         terms.append(mul_xk(mul_scalar(xyk, coeff), r0))
         if k < m:
             xyk = mul(xyk, _XY)
     # second sum, shifted by x^r1
     xyk = (1,)
     for k in range(m - r1 + 1):
-        coeff = (-1) ** (m - k) * _gamma_from_counts(counts, b - 2 * k - r1)
+        coeff = (-1) ** (m - k) * g[b - 2 * k - r1]
         terms.append(mul_xk(mul_scalar(xyk, coeff), r1))
         if k < m - r1:
             xyk = mul(xyk, _XY)

@@ -1,7 +1,11 @@
 import io
 import json
+from fractions import Fraction
+
+import pytest
 
 from threshold_spectra import cli
+from threshold_spectra.sequences import adjacency_matrix, parse_sequence
 
 
 def run_cli(*argv):
@@ -73,6 +77,18 @@ class TestEnergy:
         code, _, err = run_cli("energy", "10")
         assert code == 2
         assert "error:" in err
+
+    def test_sixty_alternating_vertices(self):
+        numpy = pytest.importorskip("numpy")
+        bits = "01" * 30
+        code, record, _ = run_json("energy", bits, "--precision", "1e-10")
+        assert code == 0
+        band = record["results"]["energy"]
+        lo, hi = Fraction(band["lo_fraction"]), Fraction(band["hi_fraction"])
+        assert hi - lo <= Fraction(1, 10 ** 10)
+        mat = numpy.array(adjacency_matrix(parse_sequence(bits)), dtype=float)
+        float_energy = float(numpy.abs(numpy.linalg.eigvalsh(mat)).sum())
+        assert float(lo) - 1e-9 <= float_energy <= float(hi) + 1e-9
 
 
 class TestFamily:

@@ -1,0 +1,46 @@
+"""Differential tests: the exact engine against independent routes on
+random connected sequences drawn by hypothesis.
+
+The examples are derandomized and their number fixed, so every run checks
+the same sequences.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+numpy = pytest.importorskip("numpy")
+st = hypothesis.strategies
+
+from threshold_spectra import linalg  # noqa: E402
+from threshold_spectra.sequences import adjacency_matrix, nth_connected  # noqa: E402
+from threshold_spectra.spectra import char_poly_of_sequence, energy  # noqa: E402
+
+PRECISION = Fraction(1, 10 ** 8)
+FLOAT_SLACK = 1e-9
+
+
+@st.composite
+def connected_sequences(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    return nth_connected(n, draw(st.integers(0, (1 << (n - 2)) - 1)))
+
+
+def float_energy(bits):
+    mat = numpy.array(adjacency_matrix(bits), dtype=float)
+    return float(numpy.abs(numpy.linalg.eigvalsh(mat)).sum())
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+@hypothesis.given(connected_sequences(40))
+def test_energy_interval_contains_float_energy(bits):
+    lo, hi = energy(bits, PRECISION)
+    assert hi - lo <= PRECISION
+    assert float(lo) - FLOAT_SLACK <= float_energy(bits) <= float(hi) + FLOAT_SLACK
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
+@hypothesis.given(connected_sequences(20))
+def test_char_poly_matches_determinant_route(bits):
+    assert char_poly_of_sequence(bits) == linalg.charpoly(adjacency_matrix(bits))

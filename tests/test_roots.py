@@ -83,6 +83,15 @@ class TestIsolation:
         assert enc.lo <= Fraction(1, 3) <= enc.hi
         assert enc.width <= Fraction(1, 2 ** 30)
 
+    def test_root_next_to_point_root_separates(self):
+        # x^2 (2^450 x - 1): 2^-450 takes about 450 halvings to leave 0
+        encs = isolate_real_roots((0, 0, -1, 1 << 450), 1)
+        assert len(encs) == 2
+        assert (encs[0].lo, encs[0].hi, encs[0].multiplicity) == (0, 0, 2)
+        tiny = encs[1]
+        assert tiny.multiplicity == 1
+        assert 0 < tiny.lo <= Fraction(1, 2 ** 450) <= tiny.hi
+
 
 class TestEnclosureContracts:
     def test_disjoint_sorted_dyadic(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -153,6 +154,27 @@ class TestGamma:
             for length in range(len(counts) + 1):
                 assert gamma(blocks, length) >= 0
 
+    def test_matches_enumeration(self):
+        rng = random.Random(14)
+        for b in range(1, 17):
+            seqs = [index_sequences(b, length) for length in range(b + 1)]
+            for _ in range(3):
+                counts = [rng.randint(1, 9) for _ in range(b)]
+                blocks = tuple((k % 2, c) for k, c in enumerate(counts))
+                for length, group in enumerate(seqs):
+                    expected = sum(math.prod(counts[i - 1] for i in seq)
+                                   for seq in group)
+                    assert gamma(blocks, length) == expected, (counts, length)
+
+    def test_unit_counts_sum_to_fibonacci(self):
+        fib = [0, 1]
+        while len(fib) < 43:
+            fib.append(fib[-1] + fib[-2])
+        for b in range(1, 41):
+            blocks = tuple((k % 2, 1) for k in range(b))
+            assert sum(gamma(blocks, length)
+                       for length in range(b + 1)) == fib[b + 2]
+
 
 def corrected_four_block_expansion(a1, a2, a3, a4):
     """x^2 y^2 - (a2+a4) x^2 y - (a1a2+a1a4+a3a4) xy + (a2a3a4) x + a1a2a3a4,
@@ -219,6 +241,14 @@ class TestCharPoly:
                 formula = char_poly(to_blocks(bits))
                 oracle = linalg.charpoly(adjacency_matrix(bits))
                 assert formula == oracle, bits
+
+    def test_many_blocks_match_determinant_route(self):
+        rng = random.Random(30)
+        counts = [rng.randint(1, 2) for _ in range(32)]
+        for blocks in (tuple((k % 2, 1) for k in range(40)),
+                       tuple((k % 2, c) for k, c in enumerate(counts))):
+            bits = tuple(bit for bit, c in blocks for _ in range(c))
+            assert char_poly(blocks) == linalg.charpoly(adjacency_matrix(bits))
 
     def test_single_extra_minus_one_iff_leading_singleton(self):
         for n in range(2, 9):
