@@ -1,10 +1,14 @@
 """Guaranteed real-root isolation for integer polynomials.
 
-Roots are located by sign-change bisection steered by a Sturm sequence,
-entirely in exact arithmetic.  Multiple roots are handled by square-free
-decomposition first, so every bisected polynomial is square-free.  All
-interval endpoints are dyadic rationals by construction; a bisection
-midpoint that lands exactly on a root is reported as a point enclosure.
+Roots are isolated by bisection steered by a Sturm sequence and then
+refined by quadratic interval refinement (QIR), entirely in exact
+arithmetic.  Multiple roots are handled by square-free decomposition
+first, so every isolated polynomial is square-free.  Every enclosure is
+certified by exact signs: p has opposite signs at its two endpoints.  All
+interval endpoints are dyadic rationals by construction, and refinement
+never goes deeper than the target width needs, so it ends on the same
+dyadic cell as plain bisection.  A dyadic point that lands exactly on a
+root is reported as a point enclosure.
 """
 
 from __future__ import annotations
@@ -49,8 +53,12 @@ class RootEnclosure:
         return (self.lo + self.hi) / 2
 
 
-def sign_at(p: Poly, num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0, computed with integer Horner steps."""
+def value_at(p: Poly, num: int, den: int) -> int:
+    """p(num/den) * den**deg(p) for den > 0, by integer Horner steps.
+
+    The result is an integer with the sign of p(num/den); on one shared
+    denominator, values keep the ratios of the values of p.
+    """
     if not p:
         return 0
     acc = p[-1]
@@ -58,7 +66,13 @@ def sign_at(p: Poly, num: int, den: int) -> int:
     for i in range(len(p) - 2, -1, -1):
         dp *= den
         acc = acc * num + p[i] * dp
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def sign_at(p: Poly, num: int, den: int) -> int:
+    """Sign of p(num/den) for den > 0."""
+    v = value_at(p, num, den)
+    return (v > 0) - (v < 0)
 
 
 def sturm_chain(g: Poly) -> list[Poly]:
@@ -148,9 +162,82 @@ class _Enclosure:
         self.den = den2
 
     def refine_to(self, width: Fraction) -> None:
+        """Refine until the width is at most `width`, by quadratic interval
+        refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011).
+
+        A step cuts [lo, hi] into N = 2^k equal cells and takes the grid
+        point j nearest the secant root, clamped to 1..N-1.  The exact
+        sign of p there tells on which side of j the root lies; the cell
+        next to j on that side is accepted only if p has opposite exact
+        signs at its two endpoints, so every enclosure stays certified.
+        On success k doubles.  On failure k halves and one `halve` step
+        runs, so every step shrinks the enclosure by at least one
+        bisection step and the loop terminates.  A grid point where p is
+        0 is the root, and the enclosure becomes that point.
+
+        No overshoot: k never exceeds the shift that brings the width to
+        the target.  Each enclosure is the cell holding the root in the
+        dyadic grid that cuts the starting interval into 2^depth cells,
+        and the loop stops at the first depth whose cells fit the target.
+        Plain bisection stops at the same depth, so the result is its
+        cell: the same denominator and the same numerators.
+
+        The values of p at the endpoints, scaled to the current
+        denominator, are carried from step to step, so only new points
+        are evaluated.
+        """
+        lo, hi, den = self.lo_num, self.hi_num, self.den
         wn, wd = width.numerator, width.denominator
-        while not self.is_point and (self.hi_num - self.lo_num) * wd > wn * self.den:
+        if (hi - lo) * wd <= wn * den:  # also true of a point
+            return
+        poly, positive_lo = self.poly, self.sign_lo > 0
+        deg = len(poly) - 1
+        v_lo, v_hi = value_at(poly, lo, den), value_at(poly, hi, den)
+        k = 2
+        while (hi - lo) * wd > wn * den:
+            gap = hi - lo
+            k = min(k, ((gap * wd - 1) // (wn * den)).bit_length())
+            n, shift = 1 << k, k * deg
+            # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
+            diff = v_lo - v_hi
+            top = n * v_lo if diff > 0 else -n * v_lo
+            diff = abs(diff)
+            j = min(max((2 * top + diff) // (2 * diff), 1), n - 1)
+            den2 = den << k
+            x = (lo << k) + j * gap
+            v = value_at(poly, x, den2)
+            right = (v > 0) == positive_lo
+            if v == 0:
+                y, u = x, 0  # x is the root
+            elif right:
+                y = x + gap
+                u = v_hi << shift if j == n - 1 else value_at(poly, y, den2)
+            else:
+                y = x - gap
+                u = v_lo << shift if j == 1 else value_at(poly, y, den2)
+            if u == 0:
+                self.lo_num = self.hi_num = y
+                self.den = den2
+                return
+            if ((u > 0) == positive_lo) != right:
+                # p changes sign across the cell between x and y
+                lo, hi, v_lo, v_hi = (x, y, v, u) if right else (y, x, u, v)
+                den = den2
+                k <<= 1
+                continue
+            k >>= 1
+            self.lo_num, self.hi_num, self.den = lo, hi, den
             self.halve()
+            if self.is_point:
+                return
+            if self.lo_num == lo << 1:
+                v_lo <<= deg
+                v_hi = value_at(poly, self.hi_num, self.den)
+            else:
+                v_hi <<= deg
+                v_lo = value_at(poly, self.lo_num, self.den)
+            lo, hi, den = self.lo_num, self.hi_num, self.den
+        self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
 def _isolate_squarefree(g: Poly) -> tuple[list[tuple[int, int]], Poly,

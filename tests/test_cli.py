@@ -73,6 +73,29 @@ class TestEnergy:
         assert code == 2
         assert "error:" in err
 
+    def test_non_finite_precision(self):
+        for text in ("inf", "-Infinity"):
+            # "=" keeps argparse from reading "-Infinity" as an option
+            code, out, err = run_cli("energy", "01", f"--precision={text}")
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith("error:")
+
+    def test_huge_precision_exponent(self):
+        # rejected before 10**999999999 is built
+        code, out, err = run_cli("energy", "01", "--precision", "1e-999999999")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:")
+
+    def test_precision_exponent_limit(self):
+        assert run_cli("energy", "001", "--precision", "1e-1000")[0] == 0
+        code, _, err = run_cli("energy", "001", "--precision", "1e-1001")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_bad_sequence(self):
         code, _, err = run_cli("energy", "10")
         assert code == 2

@@ -44,3 +44,13 @@ def test_energy_interval_contains_float_energy(bits):
 @hypothesis.given(connected_sequences(20))
 def test_char_poly_matches_determinant_route(bits):
     assert char_poly_of_sequence(bits) == linalg.charpoly(adjacency_matrix(bits))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=20)
+@hypothesis.given(connected_sequences(40))
+def test_deep_precision_interval_nests_in_shallow(bits):
+    deep = Fraction(1, 10 ** 300)
+    lo, hi = energy(bits, PRECISION)
+    deep_lo, deep_hi = energy(bits, deep)
+    assert lo <= deep_lo <= deep_hi <= hi
+    assert deep_hi - deep_lo <= deep

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra.intpoly import evaluate, mul, normalize, poly_pow
+from threshold_spectra import roots
+from threshold_spectra.intpoly import (
+    evaluate,
+    mul,
+    normalize,
+    poly_pow,
+    square_free_decomposition,
+)
 from threshold_spectra.linalg import charpoly
 from threshold_spectra.roots import isolate_real_roots, sign_at, sturm_chain
 from threshold_spectra.sequences import adjacency_matrix, nth_connected
@@ -124,6 +131,94 @@ class TestEnclosureContracts:
                           Fraction(0))
             trace = -poly[n - 1] if n >= 1 else 0
             assert abs(mid_sum - trace) <= n * width
+
+
+def bisection_refine(enc, width):
+    """The specification of `_Enclosure.refine_to`: plain bisection."""
+    lo, hi, den = enc.lo_num, enc.hi_num, enc.den
+    while lo != hi and (hi - lo) * width.denominator > width.numerator * den:
+        lo, hi, den = lo << 1, hi << 1, den << 1
+        mid = (lo + hi) >> 1
+        s = sign_at(enc.poly, mid, den)
+        if s == 0:
+            lo = hi = mid
+        elif s == enc.sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    enc.lo_num, enc.hi_num, enc.den = lo, hi, den
+
+
+def bisected_roots(p, width):
+    """`isolate_real_roots` with its refinement replaced by bisection."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots._Enclosure, "refine_to", bisection_refine)
+        return isolate_real_roots(p, width)
+
+
+def mignotte(d, a):
+    """x^d - 2(a x - 1)^2, with two real roots very close to 1/a."""
+    p = [0] * (d + 1)
+    p[d] = 1
+    for i, c in enumerate(poly_pow((-1, a), 2)):
+        p[i] -= 2 * c
+    return normalize(p)
+
+
+def random_square_free(rng, count):
+    found = []
+    while len(found) < count:
+        p = normalize([rng.randint(-30, 30) for _ in range(rng.randint(2, 13))])
+        if len(p) >= 2 and [m for _, m in square_free_decomposition(p)] == [1]:
+            found.append(p)
+    return found
+
+
+REFINE_WIDTHS = (Fraction(1, 10 ** 12), Fraction(1, 2 ** 700))
+MIGNOTTE = [mignotte(d, a) for d, a in ((5, 10), (7, 100), (9, 1000),
+                                         (12, 10 ** 5))]
+# Dyadic roots that isolation does not hit, each found by a different
+# branch of the refinement (checked by instrumenting a copy): 3/8 at the
+# secant's grid point, 1/4 at its neighbour, 7/8 by the fallback `halve`.
+DYADIC = [(mul((-3, 8), (-2, 0, 1)), Fraction(3, 8)),
+          (mul((-1, 4), (-2, 0, 1)), Fraction(1, 4)),
+          (mul((-7, 8), (-2, 0, 0, 1)), Fraction(7, 8))]
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("width", REFINE_WIDTHS)
+    def test_same_enclosures_as_bisection(self, width):
+        polys = (MIGNOTTE + random_square_free(random.Random(4242), 30)
+                 + [p for p, _ in DYADIC])
+        for p in polys:
+            assert isolate_real_roots(p, width) == bisected_roots(p, width)
+
+    @pytest.mark.parametrize("width", REFINE_WIDTHS)
+    def test_certified_and_not_overshot(self, width):
+        for p in MIGNOTTE + random_square_free(random.Random(99), 30):
+            for factor, _ in square_free_decomposition(p):
+                _, reduced, intervals = roots._isolate_squarefree(factor)
+                for lo, hi, den in intervals:
+                    enc = roots._Enclosure(reduced, lo, hi, den,
+                                           sign_at(reduced, lo, den), 1)
+                    enc.refine_to(width)
+                    if Fraction(hi - lo, den) <= width:
+                        assert (enc.lo, enc.hi) == (Fraction(lo, den),
+                                                    Fraction(hi, den))
+                    elif enc.is_point:
+                        assert evaluate(reduced, enc.lo) == 0
+                    else:
+                        assert width / 2 < enc.hi - enc.lo <= width
+                        assert enc.den & (enc.den - 1) == 0
+                        assert (sign_at(reduced, enc.lo_num, enc.den)
+                                * sign_at(reduced, enc.hi_num, enc.den)) < 0
+
+    @pytest.mark.parametrize("width", REFINE_WIDTHS)
+    @pytest.mark.parametrize("p, root", DYADIC)
+    def test_dyadic_root_is_a_point(self, p, root, width):
+        encs = isolate_real_roots(p, width)
+        assert roots.RootEnclosure(root, root, 1) in encs
+        assert sum(e.is_point for e in encs) == 1
 
 
 class TestSturm:
