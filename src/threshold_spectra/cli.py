@@ -1,13 +1,15 @@
 """Command-line front end with human-readable and JSON output.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage or input
-error.  Errors are reported as a single machine-parsable line on stderr.
+Exit codes: 0 success, 1 a verification or internal consistency check
+failed, 2 usage or input error.  Errors are reported as a single
+machine-parsable line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -23,7 +25,10 @@ DEFAULT_PRECISION = "1e-10"
 DEFAULT_TOL = "1e-9"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="threshold-spectra",
         description="Exact spectral toolkit for threshold graphs",
@@ -294,6 +299,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
+    except ArithmeticError as exc:
+        err.write(f"error: {exc}\n")
+        return 1
     record = {
         "command": args.command,
         "inputs": {key: value for key, value in vars(args).items()

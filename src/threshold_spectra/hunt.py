@@ -1,13 +1,14 @@
 """Exhaustive search over all connected threshold graphs of a fixed order.
 
 Every sequence gets an exact energy enclosure; sequences whose enclosures
-overlap (transitively) are grouped into classes with a union-find pass over
-the intervals sorted by lower endpoint.  Classes holding two members with
-different exact characteristic polynomials are reported as noncospectral
-equienergetic candidates: the distinct-spectrum half of the claim is exact,
-the equal-energy half is certified to the working precision, and where the
-nontrivial factors differ only by integer linear terms it is upgraded to an
-exact equality via the shared-factor bookkeeping.
+overlap (transitively) are grouped into classes, which are the maximal
+runs of the intervals sorted by lower endpoint.  Classes holding two
+members with different exact characteristic polynomials are reported as
+noncospectral equienergetic candidates: the distinct-spectrum half of the
+claim is exact, the equal-energy half is certified to the working
+precision, and where the nontrivial factors differ only by integer linear
+terms it is upgraded to an exact equality via the shared-factor
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -28,32 +29,6 @@ Rational = Union[int, Fraction]
 
 JOBS_ENV_VAR = "THRESHOLD_SPECTRA_JOBS"
 DEFAULT_MAX_ORDER = 24
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
 
 
 @dataclass(frozen=True)
@@ -140,10 +115,11 @@ def _scan_range(args: tuple[int, int, int, Fraction]) -> list[SequenceRecord]:
     out = []
     for idx in range(start, stop):
         bits = nth_connected(n, idx)
-        m0, m1, rest = _nontrivial_parts(to_blocks(bits))
-        lo, hi, _ = _energy_from_parts(0, rest, precision)
+        blocks = to_blocks(bits)
+        m0, m1, rest = _nontrivial_parts(blocks)
+        lo, hi = _energy_from_parts(rest, len(blocks), precision)
         full = mul_xk(mul(rest, poly_pow((1, 1), m1)), m0)
-        out.append(SequenceRecord(bits, full, lo + m1, hi + m1))
+        out.append(SequenceRecord(bits, full, lo, hi))
     return out
 
 
@@ -165,32 +141,27 @@ def _scan(n: int, precision: Fraction, processes: Optional[int],
 
 
 def _group(records: tuple[SequenceRecord, ...]) -> tuple[EnergyClass, ...]:
-    order = sorted(range(len(records)),
-                   key=lambda k: (records[k].energy_lo, records[k].energy_hi,
-                                  records[k].bits))
-    uf = UnionFind(len(records))
-    prev = -1
+    """The energy classes in ascending order: the maximal runs of the
+    records sorted by lower endpoint in which each interval starts no later
+    than the furthest upper endpoint before it."""
+    runs: list[list[SequenceRecord]] = []
     reach = Fraction(0)
-    for k in order:
-        rec = records[k]
-        if prev >= 0 and rec.energy_lo <= reach:
-            uf.union(prev, k)
+    for rec in sorted(records, key=lambda r: (r.energy_lo, r.energy_hi,
+                                              r.bits)):
+        if runs and rec.energy_lo <= reach:
+            runs[-1].append(rec)
             reach = max(reach, rec.energy_hi)
         else:
+            runs.append([rec])
             reach = rec.energy_hi
-        prev = k
-    buckets: dict[int, list[int]] = {}
-    for k in range(len(records)):
-        buckets.setdefault(uf.find(k), []).append(k)
-    classes = []
-    for indices in buckets.values():
-        members = tuple(sorted((records[k].bits, records[k].char_poly)
-                               for k in indices))
-        lo = min(records[k].energy_lo for k in indices)
-        hi = max(records[k].energy_hi for k in indices)
-        classes.append(EnergyClass(energy_lo=lo, energy_hi=hi, members=members))
-    classes.sort(key=lambda c: (c.energy_lo, c.energy_hi, c.members[0][0]))
-    return tuple(classes)
+    # Each run starts above every upper endpoint of the runs before it,
+    # so the classes come out sorted by energy.
+    return tuple(
+        EnergyClass(energy_lo=run[0].energy_lo,
+                    energy_hi=max(rec.energy_hi for rec in run),
+                    members=tuple(sorted((rec.bits, rec.char_poly)
+                                         for rec in run)))
+        for run in runs)
 
 
 def full_scan(n: int, precision: Rational, processes: Optional[int] = None,
@@ -229,6 +200,5 @@ __all__ = [
     "EnergyClass",
     "HuntResult",
     "SequenceRecord",
-    "UnionFind",
     "full_scan",
 ]

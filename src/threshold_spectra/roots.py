@@ -2,13 +2,15 @@
 
 Roots are isolated by bisection steered by a Sturm sequence and then
 refined by quadratic interval refinement (QIR), entirely in exact
-arithmetic.  Multiple roots are handled by square-free decomposition
-first, so every isolated polynomial is square-free.  Every enclosure is
-certified by exact signs: p has opposite signs at its two endpoints.  All
-interval endpoints are dyadic rationals by construction, and refinement
-never goes deeper than the target width needs, so it ends on the same
-dyadic cell as plain bisection.  A dyadic point that lands exactly on a
-root is reported as a point enclosure.
+arithmetic.  Isolation searches (-bound, 0) and (0, bound), or only
+(0, bound) when just the positive roots are wanted, as for graph energy.
+Multiple roots are handled by square-free decomposition first, so every
+isolated polynomial is square-free.  Every enclosure is certified by
+exact signs: p has opposite signs at its two endpoints.  All interval
+endpoints are dyadic rationals by construction, and refinement never
+goes deeper than the target width needs, so it ends on the same dyadic
+cell as plain bisection.  A dyadic point that lands exactly on a root is
+reported as a point enclosure.
 """
 
 from __future__ import annotations
@@ -123,16 +125,21 @@ def _pow2_root_bound(p: Poly) -> int:
 class _Enclosure:
     """Mutable working enclosure; endpoints are lo_num/den and hi_num/den."""
 
-    __slots__ = ("poly", "lo_num", "hi_num", "den", "sign_lo", "mult")
+    __slots__ = ("poly", "lo_num", "hi_num", "den", "sign_lo", "mult",
+                 "value_lo")
 
     def __init__(self, poly: Optional[Poly], lo_num: int, hi_num: int,
-                 den: int, sign_lo: int, mult: int):
+                 den: int, sign_lo: int, mult: int,
+                 value_lo: Optional[int] = None):
         self.poly = poly
         self.lo_num = lo_num
         self.hi_num = hi_num
         self.den = den
         self.sign_lo = sign_lo
         self.mult = mult
+        # value_at(poly, lo_num, den) when the caller already computed it,
+        # else None; `refine_to` takes it instead of evaluating lo again
+        self.value_lo = value_lo
 
     @property
     def is_point(self) -> bool:
@@ -146,20 +153,27 @@ class _Enclosure:
     def hi(self) -> Fraction:
         return Fraction(self.hi_num, self.den)
 
-    def halve(self) -> None:
-        """One bisection step preserving the sign-change invariant."""
+    def halve(self) -> int:
+        """One bisection step preserving the sign-change invariant.
+
+        Returns the value of p at the midpoint on the new denominator (0
+        for a point enclosure), so a caller carrying endpoint values need
+        not evaluate it again.
+        """
         if self.is_point:
-            return
+            return 0
         lo2, hi2, den2 = self.lo_num << 1, self.hi_num << 1, self.den << 1
         mid = (lo2 + hi2) >> 1
-        s = sign_at(self.poly, mid, den2)
-        if s == 0:
+        v = value_at(self.poly, mid, den2)
+        if v == 0:
             self.lo_num = self.hi_num = mid
-        elif s == self.sign_lo:
+        elif (v > 0) == (self.sign_lo > 0):
             self.lo_num, self.hi_num = mid, hi2
         else:
             self.lo_num, self.hi_num = lo2, mid
         self.den = den2
+        self.value_lo = None
+        return v
 
     def refine_to(self, width: Fraction) -> None:
         """Refine until the width is at most `width`, by quadratic interval
@@ -184,7 +198,9 @@ class _Enclosure:
 
         The values of p at the endpoints, scaled to the current
         denominator, are carried from step to step, so only new points
-        are evaluated.
+        are evaluated: the value at lo comes from `value_lo` when the
+        caller had it, and a fallback step reuses the midpoint value
+        that `halve` returns.
         """
         lo, hi, den = self.lo_num, self.hi_num, self.den
         wn, wd = width.numerator, width.denominator
@@ -192,7 +208,10 @@ class _Enclosure:
             return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
-        v_lo, v_hi = value_at(poly, lo, den), value_at(poly, hi, den)
+        v_lo, self.value_lo = self.value_lo, None
+        if v_lo is None:
+            v_lo = value_at(poly, lo, den)
+        v_hi = value_at(poly, hi, den)
         k = 2
         while (hi - lo) * wd > wn * den:
             gap = hi - lo
@@ -227,22 +246,22 @@ class _Enclosure:
                 continue
             k >>= 1
             self.lo_num, self.hi_num, self.den = lo, hi, den
-            self.halve()
+            v_mid = self.halve()
             if self.is_point:
                 return
             if self.lo_num == lo << 1:
-                v_lo <<= deg
-                v_hi = value_at(poly, self.hi_num, self.den)
+                v_lo, v_hi = v_lo << deg, v_mid
             else:
-                v_hi <<= deg
-                v_lo = value_at(poly, self.lo_num, self.den)
+                v_lo, v_hi = v_mid, v_hi << deg
             lo, hi, den = self.lo_num, self.hi_num, self.den
         self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
-def _isolate_squarefree(g: Poly) -> tuple[list[tuple[int, int]], Poly,
-                                          list[tuple[int, int, int]]]:
-    """Isolate the real roots of a square-free polynomial.
+def _isolate_squarefree(g: Poly, positive: bool = False
+                        ) -> tuple[list[tuple[int, int]], Poly,
+                                   list[tuple[int, int, int]]]:
+    """Isolate the real roots of a square-free polynomial, or only its
+    positive roots when `positive` is true.
 
     Returns (exact dyadic roots as (num, den) pairs, the polynomial with
     those roots divided out, isolating open intervals (lo, hi, den) each
@@ -251,11 +270,12 @@ def _isolate_squarefree(g: Poly) -> tuple[list[tuple[int, int]], Poly,
     exact: list[tuple[int, int]] = []
     while True:
         while g and g[0] == 0:
-            exact.append((0, 1))
+            if not positive:
+                exact.append((0, 1))
             g = normalize(g[1:])
         if degree(g) < 1:
             return exact, g, []
-        hit, intervals = _subdivide(g)
+        hit, intervals = _subdivide(g, positive)
         if hit is None:
             return exact, g, intervals
         exact.append(hit)
@@ -266,9 +286,10 @@ def _isolate_squarefree(g: Poly) -> tuple[list[tuple[int, int]], Poly,
         g = reduced
 
 
-def _subdivide(g: Poly) -> tuple[Optional[tuple[int, int]],
-                                 list[tuple[int, int, int]]]:
-    """Split (-bound, 0) and (0, bound) until each piece holds <= 1 root.
+def _subdivide(g: Poly, positive: bool) -> tuple[Optional[tuple[int, int]],
+                                                list[tuple[int, int, int]]]:
+    """Split (0, bound), and (-bound, 0) unless `positive`, until each
+    piece holds <= 1 root of g, which must not vanish at 0.
 
     If a midpoint evaluates to zero the dyadic hit is returned instead so
     the caller can divide it out and restart; endpoints of every counted
@@ -276,10 +297,12 @@ def _subdivide(g: Poly) -> tuple[Optional[tuple[int, int]],
     """
     chain = sturm_chain(g)
     bound = _pow2_root_bound(g)
-    v_lo = _variations(chain, -bound, 1)
     v_zero = _variations(chain, 0, 1)
     v_hi = _variations(chain, bound, 1)
-    stack = [(-bound, 0, 1, v_lo, v_zero), (0, bound, 1, v_zero, v_hi)]
+    stack = [(0, bound, 1, v_zero, v_hi)]
+    if not positive:
+        # popped last: the positive half is searched first in both modes
+        stack.insert(0, (-bound, 0, 1, _variations(chain, -bound, 1), v_zero))
     found: list[tuple[int, int, int]] = []
     while stack:
         lo, hi, den, vlo, vhi = stack.pop()
@@ -321,13 +344,18 @@ def _separate(encs: list[_Enclosure]) -> None:
             return
 
 
-def isolate_real_roots(p: Poly, width: Rational) -> list[RootEnclosure]:
-    """Disjoint enclosures of all real roots of p, with multiplicities.
+def isolate_real_roots(p: Poly, width: Rational,
+                       positive: bool = False) -> list[RootEnclosure]:
+    """Disjoint enclosures of all real roots of p, with multiplicities, or
+    of its positive roots only when `positive` is true.
 
     Every enclosure has width at most `width`; enclosures are sorted in
     ascending order and never straddle zero.  Multiplicities come from an
     exact square-free decomposition, so the count of enclosures weighted
-    by multiplicity equals the number of real roots of p with multiplicity.
+    by multiplicity equals the number of real roots of p (positive roots
+    of p when `positive`) with multiplicity.  With `positive` the search
+    starts from (0, bound) and never visits the negative half-line: no
+    Sturm count, subdivision or refinement is spent on negative roots.
     """
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -336,12 +364,13 @@ def isolate_real_roots(p: Poly, width: Rational) -> list[RootEnclosure]:
         raise ValueError(f"width must be positive, got {width}")
     encs: list[_Enclosure] = []
     for factor, mult in square_free_decomposition(p):
-        exact, reduced, intervals = _isolate_squarefree(factor)
+        exact, reduced, intervals = _isolate_squarefree(factor, positive)
         for num, den in exact:
             encs.append(_Enclosure(None, num, num, den, 0, mult))
         for lo, hi, den in intervals:
-            enc = _Enclosure(reduced, lo, hi, den,
-                             sign_at(reduced, lo, den), mult)
+            v_lo = value_at(reduced, lo, den)
+            enc = _Enclosure(reduced, lo, hi, den, (v_lo > 0) - (v_lo < 0),
+                             mult, v_lo)
             enc.refine_to(w)
             encs.append(enc)
     _separate(encs)

@@ -2,17 +2,19 @@
 
 The multiplicities of the eigenvalues 0 and -1 are read off the block
 counts.  The remaining spectrum comes from a degree-B companion factor
-built out of parity-alternating index sequences: with B = 2m + r0,
-r1 = 1 - r0 and y = x + 1,
+built out of parity-alternating index sequences.  A connected block form
+starts with a 0-block and ends with a 1-block, so B = 2m is even; with
+y = x + 1,
 
-    Q_B(x) = x^r0 * sum_{k=0}^{m}    (-1)^(m-k) (xy)^k gamma_B(B - 2k - r0)
-           + x^r1 * sum_{k=0}^{m-r1} (-1)^(m-k) (xy)^k gamma_B(B - 2k - r1)
+    Q_B(x) = sum_{k=0}^{m} (-1)^(m-k) (xy)^k
+                 (gamma_B(B - 2k) + x gamma_B(B - 2k - 1))
 
-where gamma_B(l) sums, over all increasing parity-alternating index
-sequences of length l in [1, B] whose last term has the parity of B, the
-products of the indexed block counts.  The companion factor never
-enumerates the sequences (there are F(B+2) of them): with E_j[l] the sum
-over the sequences that start at index j and c_j the j-th block count,
+with gamma_B(-1) = 0, where gamma_B(l) sums, over all increasing
+parity-alternating index sequences of length l in [1, B] whose last term
+has the parity of B, the products of the indexed block counts.  The
+companion factor never enumerates the sequences (there are F(B+2) of
+them): with E_j[l] the sum over the sequences that start at index j and
+c_j the j-th block count,
 
     E_j[1] = c_j if j has the parity of B, else 0
     E_j[l] = c_j * sum_{k > j, k - j odd} E_k[l - 1]
@@ -24,6 +26,13 @@ is then x^s0 (x+1)^s1 Q_B(x) with s0, s1 the surplus counts of the 0- and
 1-blocks; when the first block is a single 0 the final (x+1) of the total
 multiplicity surfaces inside Q_B itself.  Everything here is normalized
 monic and verified against the determinant route in the test suite.
+
+Energy is twice the sum of the positive eigenvalues, since the trace is
+0.  No eigenvalue lies in (-1, 0), and the positive eigenvalues are
+exactly B/2 simple roots of the factor free of 0 and -1 (Jacobs,
+Trevisan & Tura, "Eigenvalue location in threshold graphs", Linear
+Algebra Appl. 439, 2013), so an energy interval needs those B/2 roots
+only, isolated on (0, bound).
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ from .intpoly import (
     divide_exact,
     format_poly,
     mul,
-    mul_scalar,
     mul_xk,
     normalize,
     poly_pow,
@@ -148,32 +156,19 @@ def q_polynomial(blocks: Blocks) -> Poly:
 
 
 def _q_from_counts(counts: tuple[int, ...]) -> Poly:
+    """Q_B of a connected block form, whose block count B is even."""
     b = len(counts)
-    r0 = b % 2
-    m = (b - r0) // 2
-    r1 = 1 - r0
-
+    m = b // 2
     g = _gammas(counts)
+    acc = [0] * (b + 1)
     xyk: Poly = (1,)
-    # first sum, shifted by x^r0
-    terms: list[Poly] = []
     for k in range(m + 1):
-        coeff = (-1) ** (m - k) * g[b - 2 * k - r0]
-        terms.append(mul_xk(mul_scalar(xyk, coeff), r0))
-        if k < m:
-            xyk = mul(xyk, _XY)
-    # second sum, shifted by x^r1
-    xyk = (1,)
-    for k in range(m - r1 + 1):
-        coeff = (-1) ** (m - k) * g[b - 2 * k - r1]
-        terms.append(mul_xk(mul_scalar(xyk, coeff), r1))
-        if k < m - r1:
-            xyk = mul(xyk, _XY)
-    width = max(len(t) for t in terms)
-    acc = [0] * width
-    for t in terms:
-        for idx, c in enumerate(t):
-            acc[idx] += c
+        # (-1)^(m-k) (xy)^k (gamma_B(B - 2k) + x gamma_B(B - 2k - 1))
+        sign = -1 if (m - k) % 2 else 1
+        linear = (g[b - 2 * k], g[b - 2 * k - 1]) if k < m else (g[0],)
+        for idx, c in enumerate(mul(xyk, linear)):
+            acc[idx] += sign * c
+        xyk = mul(xyk, _XY)
     return normalize(acc)
 
 
@@ -242,52 +237,55 @@ def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
     return s0 + extra0, s1 + extra1, q
 
 
-def _eigen_enclosures(rest: Poly, width: Fraction) -> list[RootEnclosure]:
-    """Enclosures of the roots of `rest`, each strictly avoiding 0 and -1.
+def _eigen_enclosures(rest: Poly, precision: Fraction
+                      ) -> list[RootEnclosure]:
+    """Enclosures of all roots of `rest`, each at most precision / deg(rest)
+    wide and strictly avoiding 0 and -1.
 
     Isolating x(x+1)*rest and dropping the two known point roots forces
     the remaining enclosures away from both special eigenvalues.
     """
-    if degree(rest) < 1:
+    d = degree(rest)
+    if d < 1:
         return []
     padded = mul(rest, (0, 1, 1))
     out = []
-    for enc in isolate_real_roots(padded, width):
+    for enc in isolate_real_roots(padded, precision / d):
         if enc.is_point and enc.lo in (0, -1):
             continue
         out.append(enc)
     return out
 
 
-def _abs_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return Fraction(0), max(-lo, hi)
+def _energy_from_parts(rest: Poly, b: int,
+                       precision: Fraction) -> tuple[Fraction, Fraction]:
+    """Energy interval of a connected graph with b blocks whose factor free
+    of 0 and -1 is `rest`: twice the sum of the positive eigenvalues.
 
-
-def _energy_from_parts(m_minus1: int, rest: Poly,
-                       precision: Fraction) -> tuple[Fraction, Fraction,
-                                                     list[RootEnclosure]]:
-    lo = Fraction(m_minus1)
-    hi = Fraction(m_minus1)
-    d = degree(rest)
-    encs: list[RootEnclosure] = []
-    if d >= 1:
-        encs = _eigen_enclosures(rest, precision / d)
-        for enc in encs:
-            alo, ahi = _abs_interval(enc.lo, enc.hi)
-            lo += enc.multiplicity * alo
-            hi += enc.multiplicity * ahi
-    return lo, hi, encs
+    The b/2 positive roots of `rest` are isolated on (0, bound) and each
+    refined to width precision / b, so the interval [2 sum lo, 2 sum hi]
+    holds the energy and is at most 2 (b/2) (precision / b) = precision
+    wide.  Raises ArithmeticError if the roots found do not number b/2,
+    the inertia of every connected threshold graph.
+    """
+    lo = hi = Fraction(0)
+    found = 0
+    for enc in isolate_real_roots(rest, precision / b, positive=True):
+        lo += enc.multiplicity * enc.lo
+        hi += enc.multiplicity * enc.hi
+        found += enc.multiplicity
+    if 2 * found != b:
+        raise ArithmeticError(
+            f"inertia check failed: {found} positive eigenvalues found "
+            f"for {b} blocks, expected {b}/2")
+    return 2 * lo, 2 * hi
 
 
 def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     """Interval of width <= precision certified to contain the graph energy.
 
-    The 0 and -1 eigenvalues contribute exactly; the rest contribute
-    through exact root enclosures summed with outward endpoints.
+    The energy is twice the sum of the positive eigenvalues, which are
+    summed through exact root enclosures with outward endpoints.
     """
     if not bits:
         raise ValueError("empty sequence")
@@ -297,9 +295,9 @@ def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     core, _ = _strip_trailing_zeros(bits)
     if not core:
         return Fraction(0), Fraction(0)
-    _, m1, rest = _nontrivial_parts(to_blocks(core))
-    lo, hi, _ = _energy_from_parts(m1, rest, prec)
-    return lo, hi
+    blocks = to_blocks(core)
+    _, _, rest = _nontrivial_parts(blocks)
+    return _energy_from_parts(rest, len(blocks), prec)
 
 
 @dataclass(frozen=True)
@@ -354,7 +352,8 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
     blocks = to_blocks(bits)
     m0, m1, rest = _nontrivial_parts(blocks)
     full = mul_xk(mul(rest, poly_pow(_Y, m1)), m0)
-    e_lo, e_hi, encs = _energy_from_parts(m1, rest, prec)
+    e_lo, e_hi = _energy_from_parts(rest, len(blocks), prec)
+    encs = _eigen_enclosures(rest, prec)
     enclosures: list[RootEnclosure] = []
     if m0:
         enclosures.append(RootEnclosure(Fraction(0), Fraction(0), m0))

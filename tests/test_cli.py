@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import cli
+from threshold_spectra import cli, spectra
 from threshold_spectra.sequences import adjacency_matrix, parse_sequence
 
 
@@ -112,6 +112,28 @@ class TestEnergy:
         mat = numpy.array(adjacency_matrix(parse_sequence(bits)), dtype=float)
         float_energy = float(numpy.abs(numpy.linalg.eigvalsh(mat)).sum())
         assert float(lo) - 1e-9 <= float_energy <= float(hi) + 1e-9
+
+
+class TestOneEnergyRoute:
+    @pytest.mark.parametrize("sequence", ["01", "(0^1 1^13)",
+                                          "(0^2 1^3 0^3 1^2)", "01" * 12])
+    def test_info_and_energy_agree(self, sequence):
+        _, info, _ = run_json("info", sequence, "--precision", "1e-12")
+        _, energy, _ = run_json("energy", sequence, "--precision", "1e-12")
+        band = energy["results"]["energy"]
+        assert info["results"]["energy"] == {"lo": band["lo"],
+                                             "hi": band["hi"]}
+
+    def test_failed_inertia_check_exits_one(self, monkeypatch):
+        real = spectra.isolate_real_roots
+        monkeypatch.setattr(spectra, "isolate_real_roots",
+                            lambda *args, **kw: real(*args, **kw)[:-1])
+        for command in ("energy", "info"):
+            code, out, err = run_cli(command, "(0^2 1^3 0^3 1^2)")
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith("error: inertia check failed")
 
 
 class TestFamily:

@@ -3,24 +3,12 @@ from fractions import Fraction
 import pytest
 
 from threshold_spectra import hunt
-from threshold_spectra.hunt import UnionFind, full_scan
+from threshold_spectra.hunt import full_scan
 from threshold_spectra.sequences import enumerate_connected, parse_sequence
 from threshold_spectra.spectra import energy, is_cospectral
 
 PRECISION = Fraction(1, 10 ** 10)
 TIGHT = Fraction(1, 10 ** 12)
-
-
-class TestUnionFind:
-    def test_basic(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(0) != uf.find(3)
-        uf.union(1, 4)
-        assert uf.find(0) == uf.find(3)
 
 
 class TestClassify:

@@ -100,6 +100,31 @@ class TestIsolation:
         assert 0 < tiny.lo <= Fraction(1, 2 ** 450) <= tiny.hi
 
 
+class TestPositiveOnly:
+    def test_positive_roots_of_the_full_list(self):
+        rng = random.Random(3141)
+        polys = [mul(mul((0, 1), poly_pow((-1, 1), 2)), (2, 1)),
+                 mul((0, 0, -1, 1 << 450), (1, 1)),
+                 (-2, 0, 1), (1, 0, 1), (5, 1)]
+        polys += [normalize([rng.randint(-6, 6)
+                             for _ in range(rng.randint(2, 9))])
+                  for _ in range(40)]
+        for p in polys:
+            if len(p) < 2:
+                continue
+            full = [e for e in isolate_real_roots(p, WIDTH) if e.hi > 0]
+            positive = isolate_real_roots(p, WIDTH, positive=True)
+            assert len(positive) == len(full)
+            for got, ref in zip(positive, full):
+                assert got.multiplicity == ref.multiplicity
+                assert 0 <= got.lo and got.width <= WIDTH
+                assert got.lo <= ref.hi and ref.lo <= got.hi
+
+    def test_zero_root_left_out(self):
+        encs = isolate_real_roots(mul((0, 1), (-3, 1)), WIDTH, positive=True)
+        assert [(e.lo, e.hi, e.multiplicity) for e in encs] == [(3, 3, 1)]
+
+
 class TestEnclosureContracts:
     def test_disjoint_sorted_dyadic(self):
         rng = random.Random(2718)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import linalg
+from threshold_spectra import linalg, spectra
 from threshold_spectra.intpoly import (
     add,
     divide_exact,
@@ -14,6 +14,7 @@ from threshold_spectra.intpoly import (
     mul_xk,
     poly_pow,
 )
+from threshold_spectra.roots import isolate_real_roots
 from threshold_spectra.sequences import (
     adjacency_matrix,
     block_counts,
@@ -331,6 +332,49 @@ class TestEnergy:
             energy((), PRECISION)
         with pytest.raises(ValueError):
             energy((0, 1), Fraction(0))
+
+
+def padded_route_energy(m1, rest, precision):
+    """Energy as the sum of |lambda| over every root of x(x+1)*rest, each
+    enclosed to width precision / deg(rest), plus the m1 eigenvalues -1:
+    the route that isolates the negative roots too."""
+    lo = hi = Fraction(m1)
+    width = precision / (len(rest) - 1)
+    for enc in isolate_real_roots(mul(rest, (0, 1, 1)), width):
+        if enc.is_point and enc.lo in (0, -1):
+            continue
+        assert enc.lo >= 0 or enc.hi <= 0
+        low, high = (enc.lo, enc.hi) if enc.lo >= 0 else (-enc.hi, -enc.lo)
+        lo += enc.multiplicity * low
+        hi += enc.multiplicity * high
+    return lo, hi
+
+
+class TestPositiveEigenvalues:
+    def test_every_order_up_to_twelve(self):
+        # all 2047 connected threshold graphs with n <= 12
+        for n in range(2, 13):
+            for bits in enumerate_connected(n):
+                blocks = to_blocks(bits)
+                b = len(blocks)
+                _, m1, rest = spectra._nontrivial_parts(blocks)
+                positive = isolate_real_roots(rest, PRECISION / b,
+                                              positive=True)
+                assert sum(e.multiplicity for e in positive) == b // 2
+                assert all(e.hi > 0 for e in positive)
+                lo, hi = energy(bits, PRECISION)
+                assert 0 <= hi - lo <= PRECISION
+                old_lo, old_hi = padded_route_energy(m1, rest, PRECISION)
+                assert lo <= old_hi and old_lo <= hi
+
+    def test_wrong_block_count_fails_inertia_check(self):
+        blocks = to_blocks(parse_sequence("(0^2 1^3 0^3 1^2)"))
+        _, _, rest = spectra._nontrivial_parts(blocks)
+        lo, hi = spectra._energy_from_parts(rest, 4, PRECISION)
+        assert hi - lo <= PRECISION
+        for b in (2, 6):
+            with pytest.raises(ArithmeticError, match="inertia"):
+                spectra._energy_from_parts(rest, b, PRECISION)
 
 
 class TestSpectralSummary:
