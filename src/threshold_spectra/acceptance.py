@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from . import families, linalg, spectra
 from .intpoly import (
@@ -418,13 +418,3 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
     10: criterion_10,
     11: criterion_11,
 }
-
-
-def run_all(numbers: Optional[Sequence[int]] = None) -> list[CriterionResult]:
-    picked = sorted(CRITERIA) if numbers is None else sorted(set(numbers))
-    results = []
-    for num in picked:
-        if num not in CRITERIA:
-            raise ValueError(f"no criterion numbered {num}")
-        results.append(CRITERIA[num]())
-    return results

@@ -65,8 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--borderenergetic", action="store_true",
                         help="report only borderenergetic candidates")
     p_hunt.add_argument("--jobs", type=int, default=None,
-                        help=(f"worker processes (default ${hunt.JOBS_ENV_VAR} "
-                              "or 1, capped at the CPU count)"))
+                        help="worker processes (default 1, capped at the CPU "
+                             "count)")
     p_hunt.add_argument("--allow-large", action="store_true")
     p_hunt.add_argument("--csv", metavar="PATH",
                         help="write per-sequence rows with class ids")
@@ -236,11 +236,13 @@ def _write_hunt_csv(path: str, result: hunt.HuntResult) -> None:
 
 
 def _cmd_selftest(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = sorted({int(part) for part in args.criteria.split(",") if part})
         except ValueError as exc:
             raise ValueError(f"bad criterion list {args.criteria!r}") from exc
+        if not numbers:
+            raise ValueError(f"empty criterion list {args.criteria!r}")
         unknown = [n for n in numbers if n not in acceptance.CRITERIA]
         if unknown:
             raise ValueError(f"no criterion numbered {unknown[0]}")

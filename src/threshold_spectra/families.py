@@ -34,6 +34,9 @@ from .util import decimal_lower, decimal_upper, fraction_str
 
 Rational = Union[int, Fraction]
 
+# Width to which the shared cubic's roots are refined.
+CUBIC_ROOT_WIDTH = Fraction(1, 10**9)
+
 
 class FamilyId(enum.Enum):
     FOUR_BLOCK = "four"
@@ -297,7 +300,7 @@ class CubicRootReport:
         }
 
 
-def cubic_root_localization(i: int, width: Rational = Fraction(1, 10**9)) -> CubicRootReport:
+def cubic_root_localization(i: int) -> CubicRootReport:
     """Certify the root layout of the shared cubic for the four-block family.
 
     Exact checks: the value at 0 is 12i^3 + 18i^2 + 6i > 0, the value at
@@ -317,7 +320,7 @@ def cubic_root_localization(i: int, width: Rational = Fraction(1, 10**9)) -> Cub
         and at_lower < 0
         and cubic[2] == -(7 * i + 2)
     )
-    roots = tuple(isolate_real_roots(cubic, width))
+    roots = tuple(isolate_real_roots(cubic, CUBIC_ROOT_WIDTH))
     three_real = len(roots) == 3 and all(r.multiplicity == 1 for r in roots)
     first_ok = (three_real and roots[0].hi < 0
                 and roots[0].lo > -(2 * i + 1))

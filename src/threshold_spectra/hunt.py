@@ -21,13 +21,13 @@ from multiprocessing import get_context
 from typing import Optional, Union
 
 from .families import exact_energy_equal
-from .intpoly import Poly, mul, mul_xk, poly_pow
+from .intpoly import Poly
 from .sequences import Bits, nth_connected, to_blocks
-from .spectra import _energy_from_parts, _nontrivial_parts
+from .spectra import (_char_poly_from_parts, _energy_from_parts,
+                      _nontrivial_parts)
 
 Rational = Union[int, Fraction]
 
-JOBS_ENV_VAR = "THRESHOLD_SPECTRA_JOBS"
 DEFAULT_MAX_ORDER = 24
 
 
@@ -86,17 +86,9 @@ class HuntResult:
 
 
 def _resolve_jobs(processes: Optional[int]) -> int:
-    if processes is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if not env:
-            return 1
-        try:
-            processes = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from exc
-    # The scan is CPU-bound: workers beyond the CPU count never help.
-    return max(1, min(processes, os.cpu_count() or 1))
+    # None means one process.  The scan is CPU-bound: workers beyond the
+    # CPU count never help.
+    return max(1, min(processes or 1, os.cpu_count() or 1))
 
 
 def _check_order(n: int, allow_large: bool) -> None:
@@ -118,8 +110,8 @@ def _scan_range(args: tuple[int, int, int, Fraction]) -> list[SequenceRecord]:
         blocks = to_blocks(bits)
         m0, m1, rest = _nontrivial_parts(blocks)
         lo, hi = _energy_from_parts(rest, len(blocks), precision)
-        full = mul_xk(mul(rest, poly_pow((1, 1), m1)), m0)
-        out.append(SequenceRecord(bits, full, lo, hi))
+        out.append(SequenceRecord(bits, _char_poly_from_parts(m0, m1, rest),
+                                  lo, hi))
     return out
 
 

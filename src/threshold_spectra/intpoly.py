@@ -15,7 +15,6 @@ Poly = tuple[int, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
-X: Poly = (0, 1)
 
 
 def normalize(coeffs: Iterable[int]) -> Poly:
@@ -29,10 +28,6 @@ def normalize(coeffs: Iterable[int]) -> Poly:
 def degree(p: Poly) -> int:
     """Degree of p; the zero polynomial has degree -1."""
     return len(p) - 1
-
-
-def constant(c: int) -> Poly:
-    return (c,) if c else ()
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -222,7 +217,7 @@ def to_coeff_list(p: Poly) -> list[int]:
     return list(p) if p else [0]
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable form, e.g. 'x^3 - 9x^2 - 10x + 36'."""
     if not p:
         return "0"
@@ -235,7 +230,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            xs = var if i == 1 else f"{var}^{i}"
+            xs = "x" if i == 1 else f"x^{i}"
             body = xs if mag == 1 else f"{mag}{xs}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

@@ -323,7 +323,9 @@ def _subdivide(g: Poly, positive: bool) -> tuple[Optional[tuple[int, int]],
 
 
 def _separate(encs: list[_Enclosure]) -> None:
-    """Refine until the closed enclosures are pairwise strictly disjoint.
+    """Refine until the closed enclosures are pairwise strictly disjoint,
+    and leave them sorted by (lo, hi): the last round sorts and halves
+    nothing.
 
     This terminates: the enclosures hold pairwise distinct roots, because
     the square-free factors are coprime and each factor's point roots are
@@ -374,6 +376,4 @@ def isolate_real_roots(p: Poly, width: Rational,
             enc.refine_to(w)
             encs.append(enc)
     _separate(encs)
-    out = [RootEnclosure(e.lo, e.hi, e.mult) for e in encs]
-    out.sort(key=lambda r: (r.lo, r.hi))
-    return out
+    return [RootEnclosure(e.lo, e.hi, e.mult) for e in encs]

@@ -106,11 +106,6 @@ def format_sequence(bits: Bits) -> str:
     return format_blocks(to_blocks(bits))
 
 
-def is_connected(bits: Bits) -> bool:
-    """Connected iff the final vertex was added dominating (and N >= 2)."""
-    return len(bits) >= 2 and bits[-1] == 1
-
-
 def adjacency_matrix(bits: Bits) -> list[list[int]]:
     """Symmetric 0/1 adjacency matrix: vertex j joins all earlier ones iff b_j = 1."""
     n = len(bits)

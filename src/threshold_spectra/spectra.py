@@ -21,11 +21,16 @@ c_j the j-th block count,
 
 and gamma_B(l) = sum_j E_j[l] with gamma_B(0) = 1.  One right-to-left pass
 that keeps a running suffix sum per parity yields every gamma_B(l) in
-O(B^2) integer operations.  The full characteristic polynomial
-is then x^s0 (x+1)^s1 Q_B(x) with s0, s1 the surplus counts of the 0- and
-1-blocks; when the first block is a single 0 the final (x+1) of the total
-multiplicity surfaces inside Q_B itself.  Everything here is normalized
-monic and verified against the determinant route in the test suite.
+O(B^2) integer operations.
+
+The characteristic polynomial splits as x^m0 (x+1)^m1 rest.  Both
+multiplicities come from the block counts alone: m0 is the surplus of the
+0-blocks, and m1 is the surplus of the 1-blocks plus one when the leading
+0-block is a single vertex.  Q_B(0) is plus or minus the product of the
+counts, never 0, and Q_B carries the root -1 exactly when the leading
+0-block is a single vertex, so `rest` is Q_B after at most one checked
+division by x + 1.  Everything here is normalized monic and verified
+against the determinant route in the test suite.
 
 Energy is twice the sum of the positive eigenvalues, since the trace is
 0.  No eigenvalue lies in (-1, 0), and the positive eigenvalues are
@@ -75,22 +80,25 @@ def _require_connected(blocks: Blocks) -> None:
         raise ValueError("block form is disconnected (must end in a 1-block)")
 
 
+def _multiplicities(counts: tuple[int, ...]) -> tuple[int, int]:
+    """Multiplicities (m0, m1) of the eigenvalues 0 and -1, read off the
+    counts of a connected block form."""
+    m0 = sum(c - 1 for c in counts[0::2])
+    m1 = sum(c - 1 for c in counts[1::2]) + (counts[0] == 1)
+    return m0, m1
+
+
 def multiplicity_zero(blocks: Blocks) -> int:
     """Multiplicity of eigenvalue 0: surplus of the 0-blocks."""
     _require_connected(blocks)
-    counts = block_counts(blocks)
-    return sum(c - 1 for c in counts[0::2])
+    return _multiplicities(block_counts(blocks))[0]
 
 
 def multiplicity_minus_one(blocks: Blocks) -> int:
     """Multiplicity of eigenvalue -1: surplus of the 1-blocks, plus one
     when the leading 0-block is a single vertex."""
     _require_connected(blocks)
-    counts = block_counts(blocks)
-    total = sum(c - 1 for c in counts[1::2])
-    if counts[0] == 1:
-        total += 1
-    return total
+    return _multiplicities(block_counts(blocks))[1]
 
 
 def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
@@ -148,11 +156,7 @@ def _gammas(counts: tuple[int, ...]) -> list[int]:
 def q_polynomial(blocks: Blocks) -> Poly:
     """The monic degree-B companion factor of a connected block form."""
     _require_connected(blocks)
-    counts = block_counts(blocks)
-    b = len(counts)
-    if b < 2:
-        raise ValueError("need at least two blocks")
-    return _q_from_counts(counts)
+    return _q_from_counts(block_counts(blocks))
 
 
 def _q_from_counts(counts: tuple[int, ...]) -> Poly:
@@ -172,18 +176,10 @@ def _q_from_counts(counts: tuple[int, ...]) -> Poly:
     return normalize(acc)
 
 
-def _surplus(counts: tuple[int, ...]) -> tuple[int, int]:
-    s0 = sum(c - 1 for c in counts[0::2])
-    s1 = sum(c - 1 for c in counts[1::2])
-    return s0, s1
-
-
 def char_poly(blocks: Blocks) -> Poly:
     """Monic characteristic polynomial assembled from the block form."""
     _require_connected(blocks)
-    counts = block_counts(blocks)
-    s0, s1 = _surplus(counts)
-    return mul_xk(mul(_q_from_counts(counts), poly_pow(_Y, s1)), s0)
+    return _char_poly_from_parts(*_nontrivial_parts(blocks))
 
 
 def _strip_trailing_zeros(bits: Bits) -> tuple[Bits, int]:
@@ -213,28 +209,28 @@ def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
 
 
 def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
-    """Total multiplicities of 0 and -1 plus the factor free of both.
+    """Multiplicities m0 and m1 of the eigenvalues 0 and -1, and the factor
+    `rest` free of both, of a connected block form.
 
-    The companion factor can carry at most a single extra root at -1
-    (exactly when the leading 0-block is a single vertex); both kinds of
-    extra factors are divided out here so the remainder is nonzero at 0
-    and at -1.
+    m0 and m1 come from the block counts.  `rest` is Q_B, divided once by
+    x + 1 when the leading 0-block is a single vertex; raises
+    ArithmeticError if that division is inexact.
     """
     counts = block_counts(blocks)
-    s0, s1 = _surplus(counts)
-    q = _q_from_counts(counts)
-    extra0 = 0
-    while q and q[0] == 0:
-        q = normalize(q[1:])
-        extra0 += 1
-    extra1 = 0
-    while True:
-        quotient = divide_exact(q, _Y)
-        if quotient is None:
-            break
-        q = quotient
-        extra1 += 1
-    return s0 + extra0, s1 + extra1, q
+    m0, m1 = _multiplicities(counts)
+    rest = _q_from_counts(counts)
+    if counts[0] == 1:
+        rest = divide_exact(rest, _Y)
+        if rest is None:
+            raise ArithmeticError(
+                "companion factor lacks the root -1 of a single leading "
+                "vertex")
+    return m0, m1, rest
+
+
+def _char_poly_from_parts(m0: int, m1: int, rest: Poly) -> Poly:
+    """The characteristic polynomial x^m0 (x+1)^m1 rest."""
+    return mul_xk(mul(rest, poly_pow(_Y, m1)), m0)
 
 
 def _eigen_enclosures(rest: Poly, precision: Fraction
@@ -246,8 +242,6 @@ def _eigen_enclosures(rest: Poly, precision: Fraction
     the remaining enclosures away from both special eigenvalues.
     """
     d = degree(rest)
-    if d < 1:
-        return []
     padded = mul(rest, (0, 1, 1))
     out = []
     for enc in isolate_real_roots(padded, precision / d):
@@ -351,7 +345,7 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
         raise ValueError(f"precision must be positive, got {precision}")
     blocks = to_blocks(bits)
     m0, m1, rest = _nontrivial_parts(blocks)
-    full = mul_xk(mul(rest, poly_pow(_Y, m1)), m0)
+    full = _char_poly_from_parts(m0, m1, rest)
     e_lo, e_hi = _energy_from_parts(rest, len(blocks), prec)
     encs = _eigen_enclosures(rest, prec)
     enclosures: list[RootEnclosure] = []

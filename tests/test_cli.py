@@ -135,6 +135,23 @@ class TestOneEnergyRoute:
             assert err.splitlines() == [err.rstrip("\n")]
             assert err.startswith("error: inertia check failed")
 
+    def test_missing_minus_one_factor_exits_one(self, monkeypatch):
+        # a leading 0^1 puts the root -1 in Q_B; adding 1 to the constant
+        # term takes it out
+        real = spectra._q_from_counts
+        monkeypatch.setattr(spectra, "_q_from_counts",
+                            lambda counts: (real(counts)[0] + 1,)
+                            + real(counts)[1:])
+        blocks = ((0, 1), (1, 3), (0, 2), (1, 2))
+        with pytest.raises(ArithmeticError):
+            spectra._nontrivial_parts(blocks)
+        for command in ("energy", "info"):
+            code, out, err = run_cli(command, "(0^1 1^3 0^2 1^2)")
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith("error: companion factor")
+
 
 class TestFamily:
     def test_pair_emission(self):
@@ -190,12 +207,6 @@ class TestHunt:
         assert code == 2
         assert "allow_large" in err
 
-    def test_non_integer_jobs_env_var(self, monkeypatch):
-        monkeypatch.setenv("THRESHOLD_SPECTRA_JOBS", "two")
-        code, _, err = run_cli("hunt", "--n", "8")
-        assert code == 2
-        assert "THRESHOLD_SPECTRA_JOBS" in err
-
 
 class TestSelftest:
     def test_subset_passes(self):
@@ -210,9 +221,13 @@ class TestSelftest:
         assert out.count("PASS") == 2
 
     def test_unknown_criterion(self):
-        code, _, err = run_cli("selftest", "--criteria", "99")
-        assert code == 2
-        assert "error:" in err
+        # an empty list would check nothing and must not report success
+        for criteria in ("99", ",", ""):
+            code, out, err = run_cli("selftest", "--criteria", criteria)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith("error:")
 
 
 class TestContract:

@@ -149,7 +149,6 @@ class TestWorkerPool:
                 return _InProcessPool(sizes, size)
 
         monkeypatch.setattr(hunt, "get_context", lambda method: Context())
-        monkeypatch.delenv(hunt.JOBS_ENV_VAR, raising=False)
         return sizes
 
     def test_pool_capped_at_cpu_count(self, pool_sizes, monkeypatch):
@@ -163,15 +162,3 @@ class TestWorkerPool:
         result = full_scan(8, PRECISION, processes=100000)
         assert pool_sizes == [64]
         assert result.records == full_scan(8, PRECISION, processes=1).records
-
-    def test_env_var_capped(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(hunt.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv(hunt.JOBS_ENV_VAR, "100000")
-        full_scan(8, PRECISION)
-        assert pool_sizes == [2]
-
-    def test_non_integer_env_var_rejected(self, pool_sizes, monkeypatch):
-        monkeypatch.setenv(hunt.JOBS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            full_scan(8, PRECISION)
-        assert pool_sizes == []

@@ -257,6 +257,7 @@ class TestCharPoly:
                 blocks = to_blocks(bits)
                 counts = block_counts(blocks)
                 q = q_polynomial(blocks)
+                assert q[0] != 0
                 once = divide_exact(q, (1, 1))
                 twice = divide_exact(once, (1, 1)) if once is not None else None
                 if counts[0] == 1:
