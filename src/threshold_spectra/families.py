@@ -7,19 +7,20 @@ by one fewer factor of x + 1.  The absolute values therefore sum to the
 same energy exactly, while the spectra differ.  The closed-form expanded
 polynomials are checked against the block-form engine, and energies are
 certified both by interval overlap and by the exact shared-factor
-bookkeeping.
+bookkeeping, whose integer roots are read off the certified root
+enclosures with one exact evaluation each.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .intpoly import (
     Poly,
-    degree,
     divide_exact,
     evaluate,
     format_poly,
@@ -119,28 +120,19 @@ def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
 
 def _strip_integer_roots(p: Poly) -> tuple[int, Poly]:
     """Divide out all integer roots of p; return (sum of their absolute
-    values counted with multiplicity, remaining factor)."""
+    values counted with multiplicity, remaining factor).
+
+    Every real root of p is isolated in a certified closed enclosure at
+    most 1/2 wide, which holds at most one integer, ceil(lo); one exact
+    evaluation decides whether that integer is the root.
+    """
     total = 0
     rest = p
-    while degree(rest) >= 1 and rest[0] != 0:
-        bound = 1 + -(-max(abs(c) for c in rest[:-1]) // abs(rest[-1]))
-        hit = None
-        for mag in range(1, bound + 1):
-            if rest[0] % mag:
-                continue
-            for r in (mag, -mag):
-                if evaluate(rest, r) == 0:
-                    hit = r
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            break
-        quotient = divide_exact(rest, (-hit, 1))
-        if quotient is None:
-            break
-        total += abs(hit)
-        rest = quotient
+    for enc in isolate_real_roots(p, Fraction(1, 2)):
+        r = math.ceil(enc.lo)
+        if r <= enc.hi and evaluate(p, r) == 0:
+            total += abs(r) * enc.multiplicity
+            rest = divide_exact(rest, poly_pow((-r, 1), enc.multiplicity))
     return total, rest
 
 

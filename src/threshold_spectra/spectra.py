@@ -290,6 +290,7 @@ def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     if not core:
         return Fraction(0), Fraction(0)
     blocks = to_blocks(core)
+    _require_connected(blocks)
     _, _, rest = _nontrivial_parts(blocks)
     return _energy_from_parts(rest, len(blocks), prec)
 
@@ -338,12 +339,11 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
     an energy interval of width <= precision, for a connected sequence."""
     if not bits:
         raise ValueError("empty sequence")
-    if bits[-1] != 1:
-        raise ValueError("sequence is disconnected (must end in 1)")
+    blocks = to_blocks(bits)
+    _require_connected(blocks)
     prec = Fraction(precision)
     if prec <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    blocks = to_blocks(bits)
     m0, m1, rest = _nontrivial_parts(blocks)
     full = _char_poly_from_parts(m0, m1, rest)
     e_lo, e_hi = _energy_from_parts(rest, len(blocks), prec)

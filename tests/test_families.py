@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from threshold_spectra import families
 from threshold_spectra.families import (
     FamilyId,
+    _strip_integer_roots,
     closed_form_char_poly,
     cubic_root_localization,
     exact_energy_equal,
@@ -12,9 +15,16 @@ from threshold_spectra.families import (
     shared_quartic,
     verify_family,
 )
-from threshold_spectra.intpoly import divide_exact, mul, mul_xk, poly_pow
-from threshold_spectra.sequences import from_blocks, to_blocks
-from threshold_spectra.spectra import char_poly
+from threshold_spectra.intpoly import (
+    degree,
+    divide_exact,
+    evaluate,
+    mul,
+    mul_xk,
+    poly_pow,
+)
+from threshold_spectra.sequences import enumerate_connected, from_blocks, to_blocks
+from threshold_spectra.spectra import _nontrivial_parts, char_poly
 
 TOL = Fraction(1, 10 ** 9)
 
@@ -125,6 +135,91 @@ class TestExactEnergyEquality:
         p3 = ((0, 2), (1, 1))
         k3 = ((0, 1), (1, 2))
         assert exact_energy_equal(p3, k3) is None
+
+
+def trial_division_strip(p):
+    """Reference: try every divisor of the constant term up to a Cauchy
+    bound, smallest magnitude first, until no integer root is left."""
+    total = 0
+    rest = p
+    while degree(rest) >= 1 and rest[0] != 0:
+        bound = 1 + -(-max(abs(c) for c in rest[:-1]) // abs(rest[-1]))
+        hit = None
+        for mag in range(1, bound + 1):
+            if rest[0] % mag:
+                continue
+            for r in (mag, -mag):
+                if evaluate(rest, r) == 0:
+                    hit = r
+                    break
+            if hit is not None:
+                break
+        if hit is None:
+            break
+        quotient = divide_exact(rest, (-hit, 1))
+        if quotient is None:
+            break
+        total += abs(hit)
+        rest = quotient
+    return total, rest
+
+
+def family_rests(i_values):
+    for fam, i in itertools.product(FamilyId, i_values):
+        pair = family_pair(fam, i)
+        for blocks in (pair.g, pair.g_prime):
+            yield _nontrivial_parts(blocks)[2]
+
+
+class TestIntegerRootStripping:
+    def test_matches_trial_division_on_corpus(self):
+        for n in range(2, 12):
+            for bits in enumerate_connected(n):
+                rest = _nontrivial_parts(to_blocks(bits))[2]
+                assert _strip_integer_roots(rest) == trial_division_strip(rest)
+
+    def test_matches_trial_division_on_families(self):
+        for rest in family_rests(range(1, 11)):
+            assert _strip_integer_roots(rest) == trial_division_strip(rest)
+
+    def test_family_shift_roots_found(self):
+        # rest of G is (x + 2i + 1) * core, of G' (x + 2i + 2) * core
+        for fam, core in ((FamilyId.FOUR_BLOCK, shared_cubic),
+                          (FamilyId.SIX_BLOCK, shared_quartic)):
+            for i in (1, 7):
+                total_g, rest_g = _strip_integer_roots(
+                    _nontrivial_parts(family_pair(fam, i).g)[2])
+                assert total_g == 2 * i + 1
+                assert rest_g == core(i)
+
+    def test_repeated_and_mixed_roots(self):
+        # (x - 2)^2 (x + 3) (x^2 - 2): multiplicity counts, sqrt 2 stays
+        p = mul(mul(mul((-2, 1), (-2, 1)), (3, 1)), (-2, 0, 1))
+        assert _strip_integer_roots(p) == (7, (-2, 0, 1))
+
+    def test_integer_next_to_a_close_root_counted_once(self):
+        # (x - 2)(10x - 19): the enclosure of 19/10 lies just below 2, so
+        # its ceiling is the other root and must not be taken again
+        p = mul((-2, 1), (-19, 10))
+        assert _strip_integer_roots(p) == (2, (-19, 10))
+
+    def test_at_most_one_evaluation_per_root(self, monkeypatch):
+        calls = []
+
+        def counting_evaluate(p, x):
+            calls.append(x)
+            return evaluate(p, x)
+
+        monkeypatch.setattr(families, "evaluate", counting_evaluate)
+        for rest in family_rests(range(1, 21)):
+            calls.clear()
+            _strip_integer_roots(rest)
+            assert 1 <= len(calls) <= degree(rest)
+
+    def test_exact_equality_at_large_parameter(self):
+        for fam in FamilyId:
+            pair = family_pair(fam, 100)
+            assert exact_energy_equal(pair.g, pair.g_prime) is True
 
 
 class TestCubicRoots:

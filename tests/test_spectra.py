@@ -334,6 +334,12 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy((0, 1), Fraction(0))
 
+    @pytest.mark.parametrize("bits", [(1, 1), (1, 0, 1)])
+    def test_rejects_leading_one(self, bits):
+        # bad input, not an internal fault: ValueError, never ArithmeticError
+        with pytest.raises(ValueError):
+            energy(bits, PRECISION)
+
 
 def padded_route_energy(m1, rest, precision):
     """Energy as the sum of |lambda| over every root of x(x+1)*rest, each
@@ -412,6 +418,10 @@ class TestSpectralSummary:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             spectral_summary((0, 1, 0), PRECISION)
+
+    def test_rejects_leading_one(self):
+        with pytest.raises(ValueError):
+            spectral_summary((1, 0, 1), PRECISION)
 
     def test_record_shape(self):
         rec = spectral_summary(parse_sequence("011"), PRECISION).to_record()
