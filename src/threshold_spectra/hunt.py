@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .families import exact_energy_equal
 from .intpoly import Poly
-from .sequences import Bits, nth_connected, to_blocks
+from .sequences import Bits, block_counts, nth_connected, to_blocks
 from .spectra import (_char_poly_from_parts, _energy_from_parts,
                       _nontrivial_parts)
 
@@ -88,7 +88,11 @@ class HuntResult:
 def _resolve_jobs(processes: Optional[int]) -> int:
     # None means one process.  The scan is CPU-bound: workers beyond the
     # CPU count never help.
-    return max(1, min(processes or 1, os.cpu_count() or 1))
+    if processes is None:
+        return 1
+    if processes < 1:
+        raise ValueError(f"need at least one process, got {processes}")
+    return min(processes, os.cpu_count() or 1)
 
 
 def _check_order(n: int, allow_large: bool) -> None:
@@ -109,7 +113,7 @@ def _scan_range(args: tuple[int, int, int, Fraction]) -> list[SequenceRecord]:
         bits = nth_connected(n, idx)
         blocks = to_blocks(bits)
         m0, m1, rest = _nontrivial_parts(blocks)
-        lo, hi = _energy_from_parts(rest, len(blocks), precision)
+        lo, hi = _energy_from_parts(rest, block_counts(blocks), precision)
         out.append(SequenceRecord(bits, _char_poly_from_parts(m0, m1, rest),
                                   lo, hi))
     return out

@@ -1,23 +1,28 @@
 """Guaranteed real-root isolation for integer polynomials.
 
-Roots are isolated by bisection steered by a Sturm sequence and then
-refined by quadratic interval refinement (QIR), entirely in exact
-arithmetic.  Isolation searches (-bound, 0) and (0, bound), or only
-(0, bound) when just the positive roots are wanted, as for graph energy.
-Multiple roots are handled by square-free decomposition first, so every
-isolated polynomial is square-free.  Every enclosure is certified by
-exact signs: p has opposite signs at its two endpoints.  All interval
-endpoints are dyadic rationals by construction, and refinement never
-goes deeper than the target width needs, so it ends on the same dyadic
-cell as plain bisection.  A dyadic point that lands exactly on a root is
-reported as a point enclosure.
+Roots are isolated by bisection steered by root counts and then refined
+by quadratic interval refinement (QIR), entirely in exact arithmetic.
+Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
+the square-free factors of p, so multiple roots carry their
+multiplicity.  For graph energy only the positive roots are wanted and
+the caller can count them faster than Sturm can: given a root counter
+`above`, isolation searches only (0, bound) and splits on its counts,
+with no Sturm chain and no square-free decomposition.  Every enclosure
+is certified by exact signs: p has opposite signs at its two endpoints,
+which is checked for every isolating interval whichever counter split
+it.  All interval endpoints are dyadic rationals by construction, and
+refinement never goes deeper than the target width needs, so it ends on
+the same dyadic cell as plain bisection.  A dyadic point that lands
+exactly on a root is reported as a point enclosure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd
+from typing import Callable, Optional, Union
 
 from .intpoly import (
     Poly,
@@ -32,6 +37,8 @@ from .intpoly import (
 )
 
 Rational = Union[int, Fraction]
+# (num, den) -> number of roots above num/den >= 0, with multiplicity
+RootCounter = Callable[[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -126,20 +133,23 @@ class _Enclosure:
     """Mutable working enclosure; endpoints are lo_num/den and hi_num/den."""
 
     __slots__ = ("poly", "lo_num", "hi_num", "den", "sign_lo", "mult",
-                 "value_lo")
+                 "value_lo", "value_hi")
 
     def __init__(self, poly: Optional[Poly], lo_num: int, hi_num: int,
                  den: int, sign_lo: int, mult: int,
-                 value_lo: Optional[int] = None):
+                 value_lo: Optional[int] = None,
+                 value_hi: Optional[int] = None):
         self.poly = poly
         self.lo_num = lo_num
         self.hi_num = hi_num
         self.den = den
         self.sign_lo = sign_lo
         self.mult = mult
-        # value_at(poly, lo_num, den) when the caller already computed it,
-        # else None; `refine_to` takes it instead of evaluating lo again
+        # value_at(poly, lo_num, den) and value_at(poly, hi_num, den) when
+        # the caller already computed them, else None; `refine_to` takes
+        # them instead of evaluating the endpoints again
         self.value_lo = value_lo
+        self.value_hi = value_hi
 
     @property
     def is_point(self) -> bool:
@@ -172,7 +182,7 @@ class _Enclosure:
         else:
             self.lo_num, self.hi_num = lo2, mid
         self.den = den2
-        self.value_lo = None
+        self.value_lo = self.value_hi = None
         return v
 
     def refine_to(self, width: Fraction) -> None:
@@ -198,9 +208,9 @@ class _Enclosure:
 
         The values of p at the endpoints, scaled to the current
         denominator, are carried from step to step, so only new points
-        are evaluated: the value at lo comes from `value_lo` when the
-        caller had it, and a fallback step reuses the midpoint value
-        that `halve` returns.
+        are evaluated: the endpoint values come from `value_lo` and
+        `value_hi` when the caller had them, and a fallback step reuses
+        the midpoint value that `halve` returns.
         """
         lo, hi, den = self.lo_num, self.hi_num, self.den
         wn, wd = width.numerator, width.denominator
@@ -208,10 +218,12 @@ class _Enclosure:
             return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
-        v_lo, self.value_lo = self.value_lo, None
+        v_lo, v_hi = self.value_lo, self.value_hi
+        self.value_lo = self.value_hi = None
         if v_lo is None:
             v_lo = value_at(poly, lo, den)
-        v_hi = value_at(poly, hi, den)
+        if v_hi is None:
+            v_hi = value_at(poly, hi, den)
         k = 2
         while (hi - lo) * wd > wn * den:
             gap = hi - lo
@@ -257,68 +269,97 @@ class _Enclosure:
         self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
-def _isolate_squarefree(g: Poly, positive: bool = False
-                        ) -> tuple[list[tuple[int, int]], Poly,
-                                   list[tuple[int, int, int]]]:
-    """Isolate the real roots of a square-free polynomial, or only its
-    positive roots when `positive` is true.
+def _isolate(g: Poly, above: Optional[RootCounter]
+             ) -> tuple[list[Fraction], Poly, list[tuple[int, int, int]]]:
+    """Isolate the real roots of g, a square-free factor, or with `above`
+    the positive roots of g itself.
 
-    Returns (exact dyadic roots as (num, den) pairs, the polynomial with
-    those roots divided out, isolating open intervals (lo, hi, den) each
-    containing exactly one root of the reduced polynomial).
+    Returns (exact dyadic roots, each divided out as often as it divides
+    and listed once per division, the polynomial with those roots divided
+    out, isolating open intervals (lo, hi, den) each containing exactly
+    one root of the reduced polynomial).
     """
-    exact: list[tuple[int, int]] = []
+    exact: list[Fraction] = []
     while True:
         while g and g[0] == 0:
-            if not positive:
-                exact.append((0, 1))
+            if above is None:
+                exact.append(Fraction(0))
             g = normalize(g[1:])
         if degree(g) < 1:
             return exact, g, []
-        hit, intervals = _subdivide(g, positive)
+        hit, intervals = _subdivide(g, above, exact)
         if hit is None:
             return exact, g, intervals
-        exact.append(hit)
-        num, den = hit
-        root = Fraction(num, den)
-        reduced = divide_exact(g, (-root.numerator, root.denominator))
+        root = (-hit.numerator, hit.denominator)
+        reduced = divide_exact(g, root)
         assert reduced is not None, "exact bisection hit must be a root"
-        g = reduced
+        while reduced is not None:  # more than once only with `above`
+            exact.append(hit)
+            g, reduced = reduced, divide_exact(reduced, root)
 
 
-def _subdivide(g: Poly, positive: bool) -> tuple[Optional[tuple[int, int]],
-                                                list[tuple[int, int, int]]]:
-    """Split (0, bound), and (-bound, 0) unless `positive`, until each
-    piece holds <= 1 root of g, which must not vanish at 0.
+def _separation_exponent(g: Poly) -> int:
+    """m with 2^-m below the Mahler-Mignotte bound on the distance between
+    two roots of g, if g is square-free: sqrt(3) |disc|^(1/2)
+    d^(-(d+2)/2) ||g||_2^(1-d), with |disc| >= 1 for integer g."""
+    d = len(g) - 1
+    norm2 = sum(c * c for c in g)
+    return ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
 
-    If a midpoint evaluates to zero the dyadic hit is returned instead so
-    the caller can divide it out and restart; endpoints of every counted
-    interval are therefore never roots.
+
+def _subdivide(g: Poly, above: Optional[RootCounter], hits: list[Fraction]
+               ) -> tuple[Optional[Fraction], list[tuple[int, int, int]]]:
+    """Split (0, bound), and (-bound, 0) without `above`, until each piece
+    holds <= 1 root of g, which must not vanish at 0.
+
+    Roots in a piece (lo, hi] are counted as count(lo) - count(hi): Sturm
+    variations of g, or `above` less the roots divided out of the
+    polynomial it counts (`hits`).  A midpoint that can be a root of g,
+    because its reduced denominator divides the leading coefficient
+    (rational root theorem: only integers when g is monic), is tested
+    with `sign_at`; on a zero the dyadic hit is returned instead so the
+    caller can divide it out and restart.  Endpoints of every counted
+    interval are therefore never roots.  A piece that counts two or more
+    roots although it is narrower than the separation bound raises
+    ArithmeticError, so a wrong count or a multiple root cannot make the
+    split run forever.
     """
-    chain = sturm_chain(g)
+    if above is None:
+        chain = sturm_chain(g)
+
+        def count(num: int, den: int) -> int:
+            return _variations(chain, num, den)
+    else:
+        def count(num: int, den: int) -> int:
+            return above(num, den) - sum(h * den > num for h in hits)
     bound = _pow2_root_bound(g)
-    v_zero = _variations(chain, 0, 1)
-    v_hi = _variations(chain, bound, 1)
-    stack = [(0, bound, 1, v_zero, v_hi)]
-    if not positive:
+    c_zero = count(0, 1)
+    stack = [(0, bound, 1, c_zero, count(bound, 1))]
+    if above is None:
         # popped last: the positive half is searched first in both modes
-        stack.insert(0, (-bound, 0, 1, _variations(chain, -bound, 1), v_zero))
+        stack.insert(0, (-bound, 0, 1, count(-bound, 1), c_zero))
+    lead, sep = g[-1], _separation_exponent(g)
     found: list[tuple[int, int, int]] = []
     while stack:
-        lo, hi, den, vlo, vhi = stack.pop()
-        count = vlo - vhi
-        if count <= 0:
+        lo, hi, den, clo, chi = stack.pop()
+        roots_in = clo - chi
+        if roots_in <= 0:
             continue
-        if count == 1:
+        if roots_in == 1:
             found.append((lo, hi, den))
             continue
+        if (hi - lo) << sep <= den:
+            raise ArithmeticError(
+                f"{roots_in} roots counted in an interval narrower than "
+                "the root separation bound")
         lo2, hi2, den2 = lo << 1, hi << 1, den << 1
         mid = (lo2 + hi2) >> 1
-        if sign_at(g, mid, den2) == 0:
-            return (mid, den2), []
-        vmid = _variations(chain, mid, den2)
-        stack.append((lo2, mid, den2, vlo, vmid))
-        stack.append((mid, hi2, den2, vmid, vhi))
+        if (lead % (den2 // gcd(mid, den2)) == 0
+                and sign_at(g, mid, den2) == 0):
+            return Fraction(mid, den2), []
+        cmid = count(mid, den2)
+        stack.append((lo2, mid, den2, clo, cmid))
+        stack.append((mid, hi2, den2, cmid, chi))
     return None, found
 
 
@@ -327,18 +368,26 @@ def _separate(encs: list[_Enclosure]) -> None:
     and leave them sorted by (lo, hi): the last round sorts and halves
     nothing.
 
+    Every denominator is a power of two, so a round sorts on numerators
+    scaled to its largest denominator and compares neighbours by cross
+    multiplication, never building a Fraction.
+
     This terminates: the enclosures hold pairwise distinct roots, because
-    the square-free factors are coprime and each factor's point roots are
-    divided out of the polynomial its intervals isolate.  So a clash needs
+    the square-free factors are coprime (with a root counter p is the one
+    factor) and each factor's point roots are divided out of the
+    polynomial its intervals isolate as often as they divide, and merged
+    into one point each.  So a clash needs
     a non-point member at least half as wide as the least gap between the
     roots, and every clashing non-point enclosure halves around its own
     root: only finitely many rounds can clash.
     """
     while True:
-        encs.sort(key=lambda e: (e.lo, e.hi))
+        top = max(e.den for e in encs) if encs else 1
+        encs.sort(key=lambda e: (e.lo_num * (top // e.den),
+                                 e.hi_num * (top // e.den)))
         clash = False
         for a, b in zip(encs, encs[1:]):
-            if a.hi >= b.lo:
+            if a.hi_num * b.den >= b.lo_num * a.den:
                 clash = True
                 a.halve()
                 b.halve()
@@ -347,32 +396,52 @@ def _separate(encs: list[_Enclosure]) -> None:
 
 
 def isolate_real_roots(p: Poly, width: Rational,
-                       positive: bool = False) -> list[RootEnclosure]:
+                       above: Optional[RootCounter] = None
+                       ) -> list[RootEnclosure]:
     """Disjoint enclosures of all real roots of p, with multiplicities, or
-    of its positive roots only when `positive` is true.
+    of its positive roots only when a root counter `above` is given.
 
     Every enclosure has width at most `width`; enclosures are sorted in
-    ascending order and never straddle zero.  Multiplicities come from an
-    exact square-free decomposition, so the count of enclosures weighted
-    by multiplicity equals the number of real roots of p (positive roots
-    of p when `positive`) with multiplicity.  With `positive` the search
-    starts from (0, bound) and never visits the negative half-line: no
-    Sturm count, subdivision or refinement is spent on negative roots.
+    ascending order and never straddle zero.  Without `above`,
+    multiplicities come from an exact square-free decomposition and
+    every square-free factor is isolated with its Sturm chain.  With
+    `above`, where above(num, den) must be the number of roots of p above
+    num/den >= 0 with multiplicity, the search splits (0, bound) on those
+    counts alone: no Sturm chain, no square-free decomposition and no
+    visit to the negative half-line.  Either way the count of enclosures
+    weighted by multiplicity equals the number of real (with `above`,
+    positive) roots of p.
+
+    Two guards keep a count that is wrong from giving a wrong answer or
+    none: every isolating interval must show opposite exact signs of p at
+    its endpoints, and a piece still counting two or more roots below the
+    Mahler-Mignotte separation bound stops the split; both raise
+    ArithmeticError.  A dyadic root found exactly is divided out as often
+    as it divides and reported as a point with that multiplicity; a
+    non-dyadic multiple root makes the `above` route raise.
     """
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
     w = Fraction(width)
     if w <= 0:
         raise ValueError(f"width must be positive, got {width}")
+    factors = ([(p, 1)] if above is not None
+               else square_free_decomposition(p))
     encs: list[_Enclosure] = []
-    for factor, mult in square_free_decomposition(p):
-        exact, reduced, intervals = _isolate_squarefree(factor, positive)
-        for num, den in exact:
-            encs.append(_Enclosure(None, num, num, den, 0, mult))
+    for factor, mult in factors:
+        exact, reduced, intervals = _isolate(factor, above)
+        for root, times in Counter(exact).items():
+            num, den = root.numerator, root.denominator
+            encs.append(_Enclosure(None, num, num, den, 0, mult * times))
         for lo, hi, den in intervals:
             v_lo = value_at(reduced, lo, den)
-            enc = _Enclosure(reduced, lo, hi, den, (v_lo > 0) - (v_lo < 0),
-                             mult, v_lo)
+            v_hi = value_at(reduced, hi, den)
+            if not (v_lo > 0 > v_hi or v_lo < 0 < v_hi):
+                raise ArithmeticError(
+                    "isolating interval without a sign change of the "
+                    "polynomial")
+            enc = _Enclosure(reduced, lo, hi, den, 1 if v_lo > 0 else -1,
+                             mult, v_lo, v_hi)
             enc.refine_to(w)
             encs.append(enc)
     _separate(encs)

@@ -38,12 +38,41 @@ exactly B/2 simple roots of the factor free of 0 and -1 (Jacobs,
 Trevisan & Tura, "Eigenvalue location in threshold graphs", Linear
 Algebra Appl. 439, 2013), so an energy interval needs those B/2 roots
 only, isolated on (0, bound).
+
+Isolation splits (0, bound) on counts of the eigenvalues above a point
+a > 0, which is the number of roots of `rest` above a.  The count is the
+number of positive pivots of the LDL^T factorization of A - aI in
+creation order (Sylvester's law of inertia), the block form of the
+Diagonalize algorithm of Jacobs, Trevisan and Tura.  Eliminating the
+vertices before a new one leaves s = 1^T M^-1 1 of the eliminated
+leading block M of A - aI, and the new vertex gets the pivot -a if it
+is isolated and -a - s if it is dominating.  With w = (1 - s) / (1 + a)
+and z = 1/w, one O(1) step per block suffices:
+
+    start (leading 0-block of c_1): w = (a + c_1) / (a (1 + a))
+    1-block of c vertices: z falls by 1 per vertex, and a vertex's pivot
+        is positive iff its z lies in (0, 1), so the block holds exactly
+        one positive pivot iff 0 < z < c, and z becomes z - c
+    0-block of c vertices: all c pivots are -a < 0; w += c / (a (1 + a))
+
+w is carried as a fraction X/Y of integers with X >= 0.  A pivot
+vanishes only when a leading principal minor of A - aI does, which
+makes a an eigenvalue of an induced threshold subgraph: a root of a
+monic integer polynomial, an algebraic integer, so an integer if
+rational.  At
+non-integer points every pivot is nonzero and the count is exact.  At
+integer points, 0 among them, the count is taken at a + epsilon, which
+is the number of eigenvalues strictly above a: X and Y are carried with
+their first-order terms in epsilon, each sign is the sign of the first
+nonzero term, and a sign that is 0 to first order raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .intpoly import (
@@ -208,6 +237,72 @@ def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
     return char_poly_of_sequence(bits_a) == char_poly_of_sequence(bits_b)
 
 
+def _roots_above(counts: tuple[int, ...], num: int, den: int) -> int:
+    """Number of eigenvalues above a = num/den >= 0 (den > 0) of the
+    connected graph with these block counts, which for a >= 0 is the
+    number of roots of `rest` above a; O(B) integer steps, no polynomial.
+
+    The pivot recurrence of the module docstring, on w = X/Y with X >= 0:
+    a 1-block of c vertices holds a positive pivot iff 0 < Y < cX, and
+    leaves Y - cX; a 0-block adds c / (a (1 + a)) to w.  Integer points,
+    0 among them, take the count at a + epsilon (`_roots_above_integer`).
+    """
+    if num % den == 0:
+        return _roots_above_integer(counts, num // den)
+    # a (1 + a) = k / den^2; w = 1 / (1 + a) + c_1 / (a (1 + a))
+    k, d2 = num * (num + den), den * den
+    x, y = den * (num + counts[0] * den), k
+    found = 0
+    for j in range(1, len(counts), 2):
+        c = counts[j]
+        cx = c * x
+        if 0 < y < cx:
+            found += 1
+        y -= cx
+        if j + 1 < len(counts):
+            x, y = x * k + counts[j + 1] * d2 * y, y * k
+            if x < 0:
+                x, y = -x, -y
+    return found
+
+
+def _first_order_sign(v0: int, v1: int) -> int:
+    """Sign of v0 + v1 epsilon as epsilon -> 0+."""
+    v = v0 or v1
+    if not v:
+        raise ArithmeticError("pivot sign undecided to first order in epsilon")
+    return 1 if v > 0 else -1
+
+
+def _roots_above_integer(counts: tuple[int, ...], a: int) -> int:
+    """`_roots_above` at a + epsilon for an integer a >= 0: the number of
+    eigenvalues strictly above a.
+
+    X and Y are carried modulo epsilon^2 as pairs (value, first-order
+    term).  Every step is a ring operation, so the pairs are exact images
+    of the unreduced numerator and denominator; a sign that is 0 to first
+    order raises ArithmeticError.
+    """
+    # a (1 + a) = k0 + k1 epsilon; w = (a + c_1) / (a (1 + a))
+    k0, k1 = a * (a + 1), 2 * a + 1
+    x0, x1, y0, y1 = a + counts[0], 1, k0, k1
+    found = 0
+    for j in range(1, len(counts), 2):
+        c = counts[j]
+        if _first_order_sign(x0, x1) < 0:
+            x0, x1, y0, y1 = -x0, -x1, -y0, -y1
+        cx0, cx1 = c * x0, c * x1
+        if (_first_order_sign(y0, y1) > 0
+                and _first_order_sign(cx0 - y0, cx1 - y1) > 0):
+            found += 1
+        y0, y1 = y0 - cx0, y1 - cx1
+        if j + 1 < len(counts):
+            c = counts[j + 1]
+            x0, x1 = x0 * k0 + c * y0, x0 * k1 + x1 * k0 + c * y1
+            y0, y1 = y0 * k0, y0 * k1 + y1 * k0
+    return found
+
+
 def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
     """Multiplicities m0 and m1 of the eigenvalues 0 and -1, and the factor
     `rest` free of both, of a connected block form.
@@ -251,20 +346,24 @@ def _eigen_enclosures(rest: Poly, precision: Fraction
     return out
 
 
-def _energy_from_parts(rest: Poly, b: int,
+def _energy_from_parts(rest: Poly, counts: tuple[int, ...],
                        precision: Fraction) -> tuple[Fraction, Fraction]:
-    """Energy interval of a connected graph with b blocks whose factor free
-    of 0 and -1 is `rest`: twice the sum of the positive eigenvalues.
+    """Energy interval of the connected graph with these block counts
+    whose factor free of 0 and -1 is `rest`: twice the sum of the
+    positive eigenvalues.
 
-    The b/2 positive roots of `rest` are isolated on (0, bound) and each
+    With b = len(counts), the b/2 positive roots of `rest` are isolated
+    on (0, bound), split by the pivot counts of `_roots_above`, and each
     refined to width precision / b, so the interval [2 sum lo, 2 sum hi]
     holds the energy and is at most 2 (b/2) (precision / b) = precision
     wide.  Raises ArithmeticError if the roots found do not number b/2,
     the inertia of every connected threshold graph.
     """
+    b = len(counts)
     lo = hi = Fraction(0)
     found = 0
-    for enc in isolate_real_roots(rest, precision / b, positive=True):
+    for enc in isolate_real_roots(rest, precision / b,
+                                  above=partial(_roots_above, counts)):
         lo += enc.multiplicity * enc.lo
         hi += enc.multiplicity * enc.hi
         found += enc.multiplicity
@@ -292,7 +391,7 @@ def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     blocks = to_blocks(core)
     _require_connected(blocks)
     _, _, rest = _nontrivial_parts(blocks)
-    return _energy_from_parts(rest, len(blocks), prec)
+    return _energy_from_parts(rest, block_counts(blocks), prec)
 
 
 @dataclass(frozen=True)
@@ -346,7 +445,7 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
         raise ValueError(f"precision must be positive, got {precision}")
     m0, m1, rest = _nontrivial_parts(blocks)
     full = _char_poly_from_parts(m0, m1, rest)
-    e_lo, e_hi = _energy_from_parts(rest, len(blocks), prec)
+    e_lo, e_hi = _energy_from_parts(rest, block_counts(blocks), prec)
     encs = _eigen_enclosures(rest, prec)
     enclosures: list[RootEnclosure] = []
     if m0:

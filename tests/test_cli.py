@@ -135,6 +135,17 @@ class TestOneEnergyRoute:
             assert err.splitlines() == [err.rstrip("\n")]
             assert err.startswith("error: inertia check failed")
 
+    def test_stuck_root_count_exits_one(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_roots_above",
+                            lambda counts, num, den: 2 if 3 * num < den
+                            else 0)
+        for command in ("energy", "info"):
+            code, out, err = run_cli(command, "01" * 12)
+            assert code == 1
+            assert out == ""
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith("error: 2 roots counted in an interval")
+
     def test_missing_minus_one_factor_exits_one(self, monkeypatch):
         # a leading 0^1 puts the root -1 in Q_B; adding 1 to the constant
         # term takes it out
@@ -206,6 +217,14 @@ class TestHunt:
         code, _, err = run_cli("hunt", "--n", "30")
         assert code == 2
         assert "allow_large" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_exits_two(self, jobs):
+        code, out, err = run_cli("hunt", "--n", "8", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: need at least one process, "
+                                    f"got {jobs}"]
 
 
 class TestSelftest:

@@ -157,6 +157,17 @@ class TestWorkerPool:
         assert pool_sizes == [4]
         assert result.records == full_scan(10, PRECISION, processes=1).records
 
+    @pytest.mark.parametrize("processes", [0, -3])
+    def test_fewer_than_one_process_rejected(self, pool_sizes, processes):
+        with pytest.raises(ValueError, match="at least one process"):
+            full_scan(8, PRECISION, processes=processes)
+        assert pool_sizes == []
+
+    def test_none_means_one_process(self, pool_sizes):
+        result = full_scan(8, PRECISION, processes=None)
+        assert pool_sizes == []
+        assert result.records == full_scan(8, PRECISION, processes=1).records
+
     def test_pool_capped_at_chunk_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(hunt.os, "cpu_count", lambda: 1000)
         result = full_scan(8, PRECISION, processes=100000)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -100,11 +101,27 @@ class TestIsolation:
         assert 0 < tiny.lo <= Fraction(1, 2 ** 450) <= tiny.hi
 
 
+def sturm_above(p):
+    """Reference root counter for the `above` route: roots of p above
+    num/den with multiplicity, from the Sturm chains of its square-free
+    factors."""
+    bound = roots._pow2_root_bound(p)
+    chains = [(sturm_chain(f), m) for f, m in square_free_decomposition(p)]
+
+    def above(num, den):
+        return sum(m * (roots._variations(chain, num, den)
+                        - roots._variations(chain, bound, 1))
+                   for chain, m in chains)
+
+    return above
+
+
 class TestPositiveOnly:
     def test_positive_roots_of_the_full_list(self):
         rng = random.Random(3141)
         polys = [mul(mul((0, 1), poly_pow((-1, 1), 2)), (2, 1)),
                  mul((0, 0, -1, 1 << 450), (1, 1)),
+                 mul(poly_pow((-1, 2), 2), (-3, 1)),
                  (-2, 0, 1), (1, 0, 1), (5, 1)]
         polys += [normalize([rng.randint(-6, 6)
                              for _ in range(rng.randint(2, 9))])
@@ -113,7 +130,7 @@ class TestPositiveOnly:
             if len(p) < 2:
                 continue
             full = [e for e in isolate_real_roots(p, WIDTH) if e.hi > 0]
-            positive = isolate_real_roots(p, WIDTH, positive=True)
+            positive = isolate_real_roots(p, WIDTH, above=sturm_above(p))
             assert len(positive) == len(full)
             for got, ref in zip(positive, full):
                 assert got.multiplicity == ref.multiplicity
@@ -121,8 +138,42 @@ class TestPositiveOnly:
                 assert got.lo <= ref.hi and ref.lo <= got.hi
 
     def test_zero_root_left_out(self):
-        encs = isolate_real_roots(mul((0, 1), (-3, 1)), WIDTH, positive=True)
+        p = mul((0, 1), (-3, 1))
+        encs = isolate_real_roots(p, WIDTH, above=sturm_above(p))
         assert [(e.lo, e.hi, e.multiplicity) for e in encs] == [(3, 3, 1)]
+
+    def test_no_sturm_chain_or_square_free_decomposition(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the above route must not call this")
+
+        p = mul((-2, 0, 1), (-5, 1))
+        above = sturm_above(p)
+        monkeypatch.setattr(roots, "sturm_chain", forbidden)
+        monkeypatch.setattr(roots, "square_free_decomposition", forbidden)
+        encs = isolate_real_roots(p, WIDTH, above=above)
+        assert [e.multiplicity for e in encs] == [1, 1]
+        assert encs[0].lo ** 2 < 2 < encs[0].hi ** 2
+        assert encs[1].lo == encs[1].hi == 5
+
+    def test_stuck_count_raises_quickly(self):
+        # a phantom double root at 1/3: every piece around it counts 2, so
+        # without the separation guard the split would never end
+        def stuck(num, den):
+            return 2 if 3 * num < den else 0
+
+        started = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="separation bound"):
+            isolate_real_roots((-2, 0, 1), WIDTH, above=stuck)
+        assert time.perf_counter() - started < 5
+
+    def test_count_without_sign_change_raises(self):
+        # one root too many above 0: the piece next to 0 holds no root
+        p = (-2, 0, 1)
+        real = sturm_above(p)
+        with pytest.raises(ArithmeticError, match="sign change"):
+            isolate_real_roots(p, WIDTH,
+                               above=lambda num, den: real(num, den)
+                               + (num == 0))
 
 
 class TestEnclosureContracts:
@@ -222,7 +273,7 @@ class TestRefinement:
     def test_certified_and_not_overshot(self, width):
         for p in MIGNOTTE + random_square_free(random.Random(99), 30):
             for factor, _ in square_free_decomposition(p):
-                _, reduced, intervals = roots._isolate_squarefree(factor)
+                _, reduced, intervals = roots._isolate(factor, None)
                 for lo, hi, den in intervals:
                     enc = roots._Enclosure(reduced, lo, hi, den,
                                            sign_at(reduced, lo, den), 1)

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -14,7 +16,8 @@ from threshold_spectra.intpoly import (
     mul_xk,
     poly_pow,
 )
-from threshold_spectra.roots import isolate_real_roots
+from threshold_spectra import roots
+from threshold_spectra.roots import isolate_real_roots, sturm_chain
 from threshold_spectra.sequences import (
     adjacency_matrix,
     block_counts,
@@ -363,10 +366,12 @@ class TestPositiveEigenvalues:
         for n in range(2, 13):
             for bits in enumerate_connected(n):
                 blocks = to_blocks(bits)
-                b = len(blocks)
+                counts = block_counts(blocks)
+                b = len(counts)
                 _, m1, rest = spectra._nontrivial_parts(blocks)
-                positive = isolate_real_roots(rest, PRECISION / b,
-                                              positive=True)
+                positive = isolate_real_roots(
+                    rest, PRECISION / b,
+                    above=partial(spectra._roots_above, counts))
                 assert sum(e.multiplicity for e in positive) == b // 2
                 assert all(e.hi > 0 for e in positive)
                 lo, hi = energy(bits, PRECISION)
@@ -374,14 +379,82 @@ class TestPositiveEigenvalues:
                 old_lo, old_hi = padded_route_energy(m1, rest, PRECISION)
                 assert lo <= old_hi and old_lo <= hi
 
-    def test_wrong_block_count_fails_inertia_check(self):
+    def test_wrong_root_count_fails_inertia_check(self, monkeypatch):
         blocks = to_blocks(parse_sequence("(0^2 1^3 0^3 1^2)"))
+        counts = block_counts(blocks)
         _, _, rest = spectra._nontrivial_parts(blocks)
-        lo, hi = spectra._energy_from_parts(rest, 4, PRECISION)
+        lo, hi = spectra._energy_from_parts(rest, counts, PRECISION)
         assert hi - lo <= PRECISION
-        for b in (2, 6):
-            with pytest.raises(ArithmeticError, match="inertia"):
-                spectra._energy_from_parts(rest, b, PRECISION)
+        real = spectra._roots_above
+        # a count that sees no positive root: nothing is isolated, and
+        # the inertia check notices the b/2 missing roots
+        monkeypatch.setattr(spectra, "_roots_above",
+                            lambda c, num, den: 0)
+        with pytest.raises(ArithmeticError, match="inertia"):
+            spectra._energy_from_parts(rest, counts, PRECISION)
+        # one root too many: a piece next to 0 counts a root it lacks
+        monkeypatch.setattr(spectra, "_roots_above",
+                            lambda c, num, den: real(c, num, den)
+                            + (num == 0))
+        with pytest.raises(ArithmeticError, match="sign change"):
+            spectra._energy_from_parts(rest, counts, PRECISION)
+
+
+def sturm_above(rest):
+    """Roots of a square-free `rest` above num/den, by Sturm's theorem: the
+    reference for `_roots_above`."""
+    chain = sturm_chain(rest)
+    top = roots._variations(chain, roots._pow2_root_bound(rest), 1)
+    return lambda num, den: roots._variations(chain, num, den) - top
+
+
+class TestRootsAbove:
+    def test_sturm_counts_on_every_order_up_to_twelve(self):
+        # the integers 1..2n-1 include eigenvalues of most of these graphs
+        # and of their leading subgraphs, where the count must be strict
+        # and runs through the epsilon terms
+        rng = random.Random(1013)
+        for n in range(2, 13):
+            for bits in enumerate_connected(n):
+                blocks = to_blocks(bits)
+                counts = block_counts(blocks)
+                _, _, rest = spectra._nontrivial_parts(blocks)
+                reference = sturm_above(rest)
+                assert spectra._roots_above(counts, 0, 1) == len(counts) // 2
+                points = [(a, 1) for a in range(1, 2 * n)]
+                for _ in range(4):
+                    den = 1 << rng.randint(1, 16)
+                    points.append((rng.randint(1, 2 * n * den), den))
+                for num, den in points:
+                    assert (spectra._roots_above(counts, num, den)
+                            == reference(num, den)), (bits, num, den)
+
+    def test_strict_at_integer_eigenvalues(self):
+        # K_4 has spectrum 3, -1, -1, -1; the star K_{1,4} has 2, -2 and
+        # four zeros
+        for sequence, values in (("0111", {3: 0, 2: 1}),
+                                 ("00001", {2: 0, 1: 1})):
+            counts = block_counts(to_blocks(parse_sequence(sequence)))
+            for a, want in values.items():
+                assert spectra._roots_above(counts, a, 1) == want
+                assert spectra._roots_above(counts, 2 * a, 2) == want
+
+    def test_pivot_sign_undecided_raises(self):
+        with pytest.raises(ArithmeticError, match="epsilon"):
+            spectra._first_order_sign(0, 0)
+        assert spectra._first_order_sign(0, -3) == -1
+        assert spectra._first_order_sign(2, -3) == 1
+
+    def test_stuck_count_raises_quickly(self, monkeypatch):
+        # a count stuck at 2 around one point never isolates; the
+        # separation guard turns it into an error instead of a hang
+        monkeypatch.setattr(spectra, "_roots_above",
+                            lambda counts, num, den: 2 if 3 * num < den
+                            else 0)
+        started = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="separation bound"):
+            energy(parse_sequence("01" * 12), PRECISION)
+        assert time.perf_counter() - started < 5
 
 
 class TestSpectralSummary:
