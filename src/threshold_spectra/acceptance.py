@@ -32,7 +32,6 @@ from . import families, linalg, spectra
 from .intpoly import (
     Poly,
     divide_exact,
-    evaluate,
     format_poly,
     mul,
     mul_xk,
@@ -289,22 +288,18 @@ def criterion_8() -> CriterionResult:
 
     Erratum: the transcribed value at -(2i+1) is -24i^3 - 16i^2 + 6i.
     Expanding x^3 - (7i+2)x^2 - (7i+3)x + 12i^3 + 18i^2 + 6i there gives
-    -24i^3 - 16i^2 - 2i, which is asserted exactly.  Both are negative for
-    i >= 1, so the localization conclusions are the same under either.
+    -24i^3 - 16i^2 - 2i, which `families.cubic_root_localization` checks
+    exactly into `values_ok`.  Both are negative for i >= 1, so the
+    localization conclusions are the same under either.
     """
     started = time.perf_counter()
     value_bad = []
     localization_bad = []
     for i in range(1, CUBIC_MAX_I + 1):
-        cubic = families.shared_cubic(i)
-        at_zero = evaluate(cubic, 0)
-        at_lower = evaluate(cubic, -(2 * i + 1))
-        stated_zero = 12 * i ** 3 + 18 * i ** 2 + 6 * i
-        stated_lower = -24 * i ** 3 - 16 * i ** 2 - 2 * i
-        if not (at_zero == stated_zero and at_zero > 0
-                and at_lower == stated_lower and at_lower < 0):
-            value_bad.append((i, at_zero, at_lower))
         report = families.cubic_root_localization(i)
+        if not report.values_ok:
+            value_bad.append((i, report.value_at_zero,
+                              report.value_at_lower_bound))
         if not (report.first_root_localized and report.upper_roots_positive
                 and report.root_sum_contains_trace):
             localization_bad.append(i)

@@ -10,17 +10,20 @@ the caller can count them faster than Sturm can: given a root counter
 with no Sturm chain and no square-free decomposition.  Every enclosure
 is certified by exact signs: p has opposite signs at its two endpoints,
 which is checked for every isolating interval whichever counter split
-it.  All interval endpoints are dyadic rationals by construction, and
-refinement never goes deeper than the target width needs, so it ends on
-the same dyadic cell as plain bisection.  A dyadic point that lands
-exactly on a root is reported as a point enclosure.
+it.  Isolation is one pass of bisection: a midpoint that lands exactly
+on a root is divided out of the polynomial in place, as often as it
+divides, and the split goes on with the same counter, so the root is
+reported as one point enclosure with that multiplicity.  All interval
+endpoints are dyadic rationals by construction, and refinement never
+goes deeper than the target width needs, so it ends on the same dyadic
+cell as plain bisection.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Callable, Optional, Union
 
@@ -30,7 +33,6 @@ from .intpoly import (
     derivative,
     divide_exact,
     mul_scalar,
-    normalize,
     primitive_part,
     _pseudo_rem,
     square_free_decomposition,
@@ -269,35 +271,6 @@ class _Enclosure:
         self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
-def _isolate(g: Poly, above: Optional[RootCounter]
-             ) -> tuple[list[Fraction], Poly, list[tuple[int, int, int]]]:
-    """Isolate the real roots of g, a square-free factor, or with `above`
-    the positive roots of g itself.
-
-    Returns (exact dyadic roots, each divided out as often as it divides
-    and listed once per division, the polynomial with those roots divided
-    out, isolating open intervals (lo, hi, den) each containing exactly
-    one root of the reduced polynomial).
-    """
-    exact: list[Fraction] = []
-    while True:
-        while g and g[0] == 0:
-            if above is None:
-                exact.append(Fraction(0))
-            g = normalize(g[1:])
-        if degree(g) < 1:
-            return exact, g, []
-        hit, intervals = _subdivide(g, above, exact)
-        if hit is None:
-            return exact, g, intervals
-        root = (-hit.numerator, hit.denominator)
-        reduced = divide_exact(g, root)
-        assert reduced is not None, "exact bisection hit must be a root"
-        while reduced is not None:  # more than once only with `above`
-            exact.append(hit)
-            g, reduced = reduced, divide_exact(reduced, root)
-
-
 def _separation_exponent(g: Poly) -> int:
     """m with 2^-m below the Mahler-Mignotte bound on the distance between
     two roots of g, if g is square-free: sqrt(3) |disc|^(1/2)
@@ -307,38 +280,41 @@ def _separation_exponent(g: Poly) -> int:
     return ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
 
 
-def _subdivide(g: Poly, above: Optional[RootCounter], hits: list[Fraction]
-               ) -> tuple[Optional[Fraction], list[tuple[int, int, int]]]:
-    """Split (0, bound), and (-bound, 0) without `above`, until each piece
-    holds <= 1 root of g, which must not vanish at 0.
+def _subdivide(g: Poly, above: Optional[RootCounter]
+               ) -> tuple[list[tuple[int, int, int]], Poly,
+                          list[tuple[int, int, int]]]:
+    """Isolate the roots of g on (0, bound), and on (-bound, 0) without
+    `above`, in one pass of bisection; g must not vanish at 0.
 
-    Roots in a piece (lo, hi] are counted as count(lo) - count(hi): Sturm
-    variations of g, or `above` less the roots divided out of the
-    polynomial it counts (`hits`).  A midpoint that can be a root of g,
-    because its reduced denominator divides the leading coefficient
-    (rational root theorem: only integers when g is monic), is tested
-    with `sign_at`; on a zero the dyadic hit is returned instead so the
-    caller can divide it out and restart.  Endpoints of every counted
-    interval are therefore never roots.  A piece that counts two or more
-    roots although it is narrower than the separation bound raises
-    ArithmeticError, so a wrong count or a multiple root cannot make the
-    split run forever.
+    Returns (exact roots (num, den, k), g with each of them divided out k
+    times, isolating intervals (lo, hi, den) each holding exactly one root
+    of that reduced polynomial).
+
+    Roots in a piece (lo, hi] are counted as count(lo) - count(hi): the
+    Sturm variations of g, a square-free factor, from one chain built
+    before the split, or `above`, which counts the roots of g itself with
+    multiplicity.  A midpoint that can be a root of g, because its reduced
+    denominator divides the leading coefficient (rational root theorem:
+    only integers when g is monic), is tested with `sign_at`.  A zero is
+    divided out of g in place, k times if it divides k times, and the
+    split goes on.  The counts stay those of the undivided polynomial: a
+    count at a point counts only the roots above it, so the right child
+    (mid, hi] never sees the divided root, and the left child (lo, mid]
+    takes count(mid) + k as its upper count, so it does not either.  A
+    piece that counts two or more roots although it is narrower than the
+    separation bound raises ArithmeticError, so a wrong count or a
+    multiple root cannot make the split run forever.
     """
-    if above is None:
-        chain = sturm_chain(g)
-
-        def count(num: int, den: int) -> int:
-            return _variations(chain, num, den)
-    else:
-        def count(num: int, den: int) -> int:
-            return above(num, den) - sum(h * den > num for h in hits)
+    count = (above if above is not None
+             else partial(_variations, sturm_chain(g)))
     bound = _pow2_root_bound(g)
     c_zero = count(0, 1)
     stack = [(0, bound, 1, c_zero, count(bound, 1))]
     if above is None:
         # popped last: the positive half is searched first in both modes
         stack.insert(0, (-bound, 0, 1, count(-bound, 1), c_zero))
-    lead, sep = g[-1], _separation_exponent(g)
+    sep = _separation_exponent(g)
+    exact: list[tuple[int, int, int]] = []
     found: list[tuple[int, int, int]] = []
     while stack:
         lo, hi, den, clo, chi = stack.pop()
@@ -354,13 +330,17 @@ def _subdivide(g: Poly, above: Optional[RootCounter], hits: list[Fraction]
                 "the root separation bound")
         lo2, hi2, den2 = lo << 1, hi << 1, den << 1
         mid = (lo2 + hi2) >> 1
-        if (lead % (den2 // gcd(mid, den2)) == 0
-                and sign_at(g, mid, den2) == 0):
-            return Fraction(mid, den2), []
+        common = gcd(mid, den2)
+        num, root_den = mid // common, den2 // common
+        k = 0
+        if g[-1] % root_den == 0 and sign_at(g, mid, den2) == 0:
+            while (reduced := divide_exact(g, (-num, root_den))) is not None:
+                g, k = reduced, k + 1
+            exact.append((num, root_den, k))
         cmid = count(mid, den2)
-        stack.append((lo2, mid, den2, clo, cmid))
+        stack.append((lo2, mid, den2, clo, cmid + k))
         stack.append((mid, hi2, den2, cmid, chi))
-    return None, found
+    return exact, g, found
 
 
 def _separate(encs: list[_Enclosure]) -> None:
@@ -374,12 +354,12 @@ def _separate(encs: list[_Enclosure]) -> None:
 
     This terminates: the enclosures hold pairwise distinct roots, because
     the square-free factors are coprime (with a root counter p is the one
-    factor) and each factor's point roots are divided out of the
-    polynomial its intervals isolate as often as they divide, and merged
-    into one point each.  So a clash needs
-    a non-point member at least half as wide as the least gap between the
-    roots, and every clashing non-point enclosure halves around its own
-    root: only finitely many rounds can clash.
+    factor) and `_subdivide` divides each exact root out of the polynomial
+    that the factor's intervals isolate, as often as it divides, and
+    returns it once with that multiplicity.  So a clash needs a non-point
+    member at least half as wide as the least gap between the roots, and
+    every clashing non-point enclosure halves around its own root: only
+    finitely many rounds can clash.
     """
     while True:
         top = max(e.den for e in encs) if encs else 1
@@ -416,9 +396,14 @@ def isolate_real_roots(p: Poly, width: Rational,
     none: every isolating interval must show opposite exact signs of p at
     its endpoints, and a piece still counting two or more roots below the
     Mahler-Mignotte separation bound stops the split; both raise
-    ArithmeticError.  A dyadic root found exactly is divided out as often
-    as it divides and reported as a point with that multiplicity; a
-    non-dyadic multiple root makes the `above` route raise.
+    ArithmeticError.  A root at 0 is stripped first and, without `above`,
+    reported as a point.  Each factor is then isolated in one pass of
+    `_subdivide`: a dyadic midpoint that is a root is divided out of the
+    factor in place, as often as it divides, and reported as a point with
+    that multiplicity, while the split goes on; the left half next to it
+    takes count(mid) + k as its upper count, so the k divided copies are
+    never counted again.  A non-dyadic multiple root makes the `above`
+    route raise.
     """
     if not p:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -429,9 +414,14 @@ def isolate_real_roots(p: Poly, width: Rational,
                else square_free_decomposition(p))
     encs: list[_Enclosure] = []
     for factor, mult in factors:
-        exact, reduced, intervals = _isolate(factor, above)
-        for root, times in Counter(exact).items():
-            num, den = root.numerator, root.denominator
+        zeros = next((j for j, c in enumerate(factor) if c), len(factor))
+        if zeros and above is None:
+            encs.append(_Enclosure(None, 0, 0, 1, 0, mult * zeros))
+        factor = factor[zeros:]
+        if len(factor) < 2:
+            continue
+        exact, reduced, intervals = _subdivide(factor, above)
+        for num, den, times in exact:
             encs.append(_Enclosure(None, num, num, den, 0, mult * times))
         for lo, hi, den in intervals:
             v_lo = value_at(reduced, lo, den)

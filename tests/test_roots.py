@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import roots
+from threshold_spectra import roots, spectra
 from threshold_spectra.intpoly import (
     evaluate,
     mul,
@@ -14,7 +14,13 @@ from threshold_spectra.intpoly import (
 )
 from threshold_spectra.linalg import charpoly
 from threshold_spectra.roots import isolate_real_roots, sign_at, sturm_chain
-from threshold_spectra.sequences import adjacency_matrix, nth_connected
+from threshold_spectra.sequences import (
+    adjacency_matrix,
+    block_counts,
+    nth_connected,
+    parse_sequence,
+    to_blocks,
+)
 
 WIDTH = Fraction(1, 1000)
 
@@ -176,6 +182,118 @@ class TestPositiveOnly:
                                + (num == 0))
 
 
+# (x - 1)(64x^2 - 104x + 41), roots 1, 0.673 and 0.952: the split hits 1
+# as the midpoint of (0, 2], and only the count(mid) + k upper count of
+# the left half keeps (3/4, 1] from counting 0.952 and 1 together.
+LEFT_OF_HIT = mul((-1, 1), (41, -104, 64))
+# `rest` of (0^1 1^1 0^1 1^1 0^4 1^1), root 1: the split hits 1 as the
+# midpoint of (0, 2] after (2, 4] was isolated on counts taken before the
+# hit, and on the Sturm route while the negative half-line waits on the
+# stack with its count.
+PENDING_HALF_SEQUENCE = "(0^1 1^1 0^1 1^1 0^4 1^1)"
+PENDING_HALF = (-4, 14, 1, -11, -1, 1)
+
+
+def real_root_count(p, lo, hi):
+    """Distinct real roots of the square-free p in the open (lo, hi)."""
+    chain = sturm_chain(p)
+    at = [roots._variations(chain, x.numerator, x.denominator)
+          for x in (Fraction(lo), Fraction(hi))]
+    return at[0] - at[1] - (evaluate(p, hi) == 0)
+
+
+def check_subdivision(p, above, exact_roots):
+    """_subdivide on p returns exactly `exact_roots` as (num, den, k),
+    divides each out k times, and isolates every other root of p in an
+    interval with a sign change, on the half-lines the route searches."""
+    exact, reduced, intervals = roots._subdivide(p, above)
+    assert sorted(exact) == sorted(exact_roots)
+    divided = reduced
+    for num, den, k in exact:
+        divided = mul(divided, poly_pow((-num, den), k))
+    assert divided == p
+    bound = roots._pow2_root_bound(p)
+    low = 0 if above is not None else -bound
+    expected = real_root_count(reduced, low, bound)
+    assert len(intervals) == expected
+    for lo, hi, den in intervals:
+        assert sign_at(reduced, lo, den) * sign_at(reduced, hi, den) < 0
+        assert real_root_count(reduced, Fraction(lo, den),
+                               Fraction(hi, den)) == 1
+        assert lo >= 0 or above is None
+
+
+def seeded_polys_with_exact_roots(rng, count):
+    """Products of random integer factors and dyadic or integer roots."""
+    polys = []
+    while len(polys) < count:
+        p = normalize([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+        if not p:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            den = 1 << rng.randint(0, 3)
+            p = mul(p, poly_pow((-rng.randint(-16, 16), den),
+                                rng.randint(1, 2)))
+        polys.append(p)
+    return polys
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("route", ["sturm", "above"])
+    def test_left_half_of_a_hit(self, route):
+        above = sturm_above(LEFT_OF_HIT) if route == "above" else None
+        check_subdivision(LEFT_OF_HIT, above, [(1, 1, 1)])
+        encs = isolate_real_roots(LEFT_OF_HIT, Fraction(1, 2), above)
+        assert [e.multiplicity for e in encs] == [1, 1, 1]
+        assert encs[2] == roots.RootEnclosure(1, 1, 1)
+        assert Fraction(3, 4) <= encs[1].lo < encs[1].hi <= 1
+
+    @pytest.mark.parametrize("route", ["sturm", "above", "pivots"])
+    def test_hit_while_other_half_is_pending(self, route):
+        blocks = to_blocks(parse_sequence(PENDING_HALF_SEQUENCE))
+        assert spectra._nontrivial_parts(blocks)[2] == PENDING_HALF
+        counts = block_counts(blocks)
+        above = {"sturm": None, "above": sturm_above(PENDING_HALF),
+                 "pivots": lambda num, den: spectra._roots_above(
+                     counts, num, den)}[route]
+        check_subdivision(PENDING_HALF, above, [(1, 1, 1)])
+        encs = isolate_real_roots(PENDING_HALF, Fraction(1, 2), above)
+        positive = [e for e in encs if e.hi > 0]
+        assert len(positive) == len(counts) // 2
+        assert roots.RootEnclosure(1, 1, 1) in positive
+        assert len(encs) == (5 if above is None else 3)
+
+    def test_dyadic_double_root_is_one_point(self):
+        p = mul(poly_pow((-3, 4), 2), (-5, 1, 1))
+        check_subdivision(p, sturm_above(p), [(3, 4, 2)])
+        encs = isolate_real_roots(p, Fraction(1, 2), sturm_above(p))
+        assert encs[0] == roots.RootEnclosure(Fraction(3, 4),
+                                              Fraction(3, 4), 2)
+        assert [e.multiplicity for e in encs] == [2, 1]
+
+    @pytest.mark.parametrize("width", [Fraction(1, 2), Fraction(1, 10 ** 20)])
+    def test_seeded_exact_roots_both_routes(self, width):
+        for p in seeded_polys_with_exact_roots(random.Random(1107), 60):
+            factors = square_free_decomposition(p)
+            bound = roots._pow2_root_bound(p)
+            full = isolate_real_roots(p, width)
+            positive = isolate_real_roots(p, width, sturm_above(p))
+            # same roots and multiplicities; the enclosures may differ where
+            # only the above route hits a multiple root exactly
+            wanted = [e for e in full if e.hi > 0]
+            assert ([e.multiplicity for e in positive]
+                    == [e.multiplicity for e in wanted])
+            for a, b in zip(positive, wanted):
+                assert a.lo <= b.hi and b.lo <= a.hi
+            assert (sum(e.multiplicity for e in full)
+                    == sum(m * real_root_count(f, -bound, bound)
+                           for f, m in factors))
+            for enc in full:
+                assert enc.width <= width
+                assert enc.lo >= 0 or enc.hi <= 0
+                assert any(contains_root(f, enc) for f, _ in factors)
+
+
 class TestEnclosureContracts:
     def test_disjoint_sorted_dyadic(self):
         rng = random.Random(2718)
@@ -273,7 +391,7 @@ class TestRefinement:
     def test_certified_and_not_overshot(self, width):
         for p in MIGNOTTE + random_square_free(random.Random(99), 30):
             for factor, _ in square_free_decomposition(p):
-                _, reduced, intervals = roots._isolate(factor, None)
+                _, reduced, intervals = roots._subdivide(factor, None)
                 for lo, hi, den in intervals:
                     enc = roots._Enclosure(reduced, lo, hi, den,
                                            sign_at(reduced, lo, den), 1)
