@@ -39,7 +39,8 @@ from .intpoly import (
 )
 
 Rational = Union[int, Fraction]
-# (num, den) -> number of roots above num/den >= 0, with multiplicity
+# (num, den) -> number of roots strictly above num/den >= 0, with
+# multiplicity
 RootCounter = Callable[[int, int], int]
 
 
@@ -403,10 +404,12 @@ def isolate_real_roots(p: Poly, width: Rational,
     that multiplicity, while the split goes on; the left half next to it
     takes count(mid) + k as its upper count, so the k divided copies are
     never counted again.  A non-dyadic multiple root makes the `above`
-    route raise.
+    route raise.  A zero polynomial, or coefficients that end in a zero,
+    raise ValueError.
     """
-    if not p:
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    if not p or not p[-1]:
+        raise ValueError("need a nonzero polynomial with a nonzero leading "
+                         "coefficient")
     w = Fraction(width)
     if w <= 0:
         raise ValueError(f"width must be positive, got {width}")

@@ -39,12 +39,12 @@ Trevisan & Tura, "Eigenvalue location in threshold graphs", Linear
 Algebra Appl. 439, 2013), so an energy interval needs those B/2 roots
 only, isolated on (0, bound).
 
-Isolation splits (0, bound) on counts of the eigenvalues above a point
-a > 0, which is the number of roots of `rest` above a.  The count is the
-number of positive pivots of the LDL^T factorization of A - aI in
-creation order (Sylvester's law of inertia), the block form of the
-Diagonalize algorithm of Jacobs, Trevisan and Tura.  Eliminating the
-vertices before a new one leaves s = 1^T M^-1 1 of the eliminated
+Isolation splits (0, bound) on counts of the eigenvalues strictly above
+a point a >= 0, which is the number of roots of `rest` above a.  The
+count is the number of positive pivots of the LDL^T factorization of
+A - aI in creation order (Sylvester's law of inertia), the block form
+of the Diagonalize algorithm of Jacobs, Trevisan and Tura.  Eliminating
+the vertices before a new one leaves s = 1^T M^-1 1 of the eliminated
 leading block M of A - aI, and the new vertex gets the pivot -a if it
 is isolated and -a - s if it is dominating.  With w = (1 - s) / (1 + a)
 and z = 1/w, one O(1) step per block suffices:
@@ -55,17 +55,16 @@ and z = 1/w, one O(1) step per block suffices:
         one positive pivot iff 0 < z < c, and z becomes z - c
     0-block of c vertices: all c pivots are -a < 0; w += c / (a (1 + a))
 
-w is carried as a fraction X/Y of integers with X >= 0.  A pivot
-vanishes only when a leading principal minor of A - aI does, which
-makes a an eigenvalue of an induced threshold subgraph: a root of a
-monic integer polynomial, an algebraic integer, so an integer if
-rational.  At
-non-integer points every pivot is nonzero and the count is exact.  At
-integer points, 0 among them, the count is taken at a + epsilon, which
-is the number of eigenvalues strictly above a: X and Y are carried with
-their first-order terms in epsilon, each sign is the sign of the first
-nonzero term, and a sign that is 0 to first order raises
-ArithmeticError.
+One loop counts at every point: the count is taken at a + epsilon, the
+number of eigenvalues strictly above a, with w = X/Y carried as integers
+X > 0 and Y together with their first-order terms in epsilon.  A sign
+is the sign of the first nonzero term, and a sign that is 0 to first
+order raises ArithmeticError.  A pivot vanishes only when a leading
+principal minor of A - aI does, which makes a an eigenvalue of an
+induced threshold subgraph: a root of a monic integer polynomial, an
+algebraic integer, so an integer if rational.  So at a non-integer a
+the first-order terms start at 0 and stay 0, and the count at a is
+exact; an integer a, 0 among them, seeds them.
 """
 
 from __future__ import annotations
@@ -238,67 +237,46 @@ def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
 
 
 def _roots_above(counts: tuple[int, ...], num: int, den: int) -> int:
-    """Number of eigenvalues above a = num/den >= 0 (den > 0) of the
-    connected graph with these block counts, which for a >= 0 is the
-    number of roots of `rest` above a; O(B) integer steps, no polynomial.
+    """Number of eigenvalues strictly above a = num/den >= 0 (den > 0) of
+    the connected graph with these block counts, which is the number of
+    roots of `rest` above a; O(B) integer steps, no polynomial.
 
-    The pivot recurrence of the module docstring, on w = X/Y with X >= 0:
-    a 1-block of c vertices holds a positive pivot iff 0 < Y < cX, and
-    leaves Y - cX; a 0-block adds c / (a (1 + a)) to w.  Integer points,
-    0 among them, take the count at a + epsilon (`_roots_above_integer`).
+    The pivot recurrence of the module docstring at a + epsilon, on
+    w = X/Y with X > 0: a 1-block of c vertices holds a positive pivot
+    iff 0 < Y < cX, and leaves Y - cX; a 0-block adds c / (a (1 + a)) to
+    w, a step scaled by den^2.  X and Y are carried modulo epsilon^2 as
+    (value, first-order term) by ring operations only, so both are exact
+    images of the unreduced numerator and denominator.  An integer a is
+    reduced to den = 1 and seeds the first-order terms with
+    d(a (1 + a)) = 2a + 1 and dX = 1; at a non-integer a they stay 0.
+    A sign that is 0 to first order raises ArithmeticError.
     """
-    if num % den == 0:
-        return _roots_above_integer(counts, num // den)
-    # a (1 + a) = k / den^2; w = 1 / (1 + a) + c_1 / (a (1 + a))
-    k, d2 = num * (num + den), den * den
-    x, y = den * (num + counts[0] * den), k
+    if num % den:
+        k1 = x1 = 0
+    else:
+        num, den = num // den, 1
+        k1, x1 = 2 * num + 1, 1
+    # a (1 + a) = (k0 + k1 epsilon) / den^2; w = (a + c_1) / (a (1 + a))
+    k0, d2 = num * (num + den), den * den
+    x0, y0, y1 = den * (num + counts[0] * den), k0, k1
     found = 0
     for j in range(1, len(counts), 2):
         c = counts[j]
-        cx = c * x
-        if 0 < y < cx:
-            found += 1
-        y -= cx
-        if j + 1 < len(counts):
-            x, y = x * k + counts[j + 1] * d2 * y, y * k
-            if x < 0:
-                x, y = -x, -y
-    return found
-
-
-def _first_order_sign(v0: int, v1: int) -> int:
-    """Sign of v0 + v1 epsilon as epsilon -> 0+."""
-    v = v0 or v1
-    if not v:
-        raise ArithmeticError("pivot sign undecided to first order in epsilon")
-    return 1 if v > 0 else -1
-
-
-def _roots_above_integer(counts: tuple[int, ...], a: int) -> int:
-    """`_roots_above` at a + epsilon for an integer a >= 0: the number of
-    eigenvalues strictly above a.
-
-    X and Y are carried modulo epsilon^2 as pairs (value, first-order
-    term).  Every step is a ring operation, so the pairs are exact images
-    of the unreduced numerator and denominator; a sign that is 0 to first
-    order raises ArithmeticError.
-    """
-    # a (1 + a) = k0 + k1 epsilon; w = (a + c_1) / (a (1 + a))
-    k0, k1 = a * (a + 1), 2 * a + 1
-    x0, x1, y0, y1 = a + counts[0], 1, k0, k1
-    found = 0
-    for j in range(1, len(counts), 2):
-        c = counts[j]
-        if _first_order_sign(x0, x1) < 0:
+        x = x0 or x1
+        if x < 0:
             x0, x1, y0, y1 = -x0, -x1, -y0, -y1
-        cx0, cx1 = c * x0, c * x1
-        if (_first_order_sign(y0, y1) > 0
-                and _first_order_sign(cx0 - y0, cx1 - y1) > 0):
+        # g = cX - Y, and the 1-block leaves Y = -g
+        g0, g1 = c * x0 - y0, c * x1 - y1
+        y, gap = y0 or y1, g0 or g1
+        if y > 0 and gap > 0:
             found += 1
-        y0, y1 = y0 - cx0, y1 - cx1
+        elif not (x and y and gap):
+            raise ArithmeticError(
+                "pivot sign undecided to first order in epsilon")
+        y0, y1 = -g0, -g1
         if j + 1 < len(counts):
-            c = counts[j + 1]
-            x0, x1 = x0 * k0 + c * y0, x0 * k1 + x1 * k0 + c * y1
+            cd = counts[j + 1] * d2
+            x0, x1 = x0 * k0 + cd * y0, x0 * k1 + x1 * k0 + cd * y1
             y0, y1 = y0 * k0, y0 * k1 + y1 * k0
     return found
 

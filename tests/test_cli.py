@@ -96,6 +96,15 @@ class TestEnergy:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_block_count_beyond_index_range(self):
+        # rejected before a list of that many bits is asked for; counts
+        # that fit an index but are huge would allocate, so none is tried
+        code, out, err = run_cli("energy", "0^99999999999999999999")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: block count")
+
     def test_bad_sequence(self):
         code, _, err = run_cli("energy", "10")
         assert code == 2

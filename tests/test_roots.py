@@ -63,6 +63,11 @@ class TestIsolation:
         with pytest.raises(ValueError):
             isolate_real_roots((), WIDTH)
 
+    @pytest.mark.parametrize("p", [(0,), (0, 0), (1, 0), (-1, 1, 0)])
+    def test_trailing_zero_rejected(self, p):
+        with pytest.raises(ValueError, match="leading coefficient"):
+            isolate_real_roots(p, WIDTH)
+
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
             isolate_real_roots((1, 1), 0)

@@ -425,6 +425,10 @@ class TestRootsAbove:
                 for _ in range(4):
                     den = 1 << rng.randint(1, 16)
                     points.append((rng.randint(1, 2 * n * den), den))
+                # off the dyadic grid, which isolation never visits, so
+                # the den^2 scaling of the 0-block step is checked here
+                for den in (3, 5, 6):
+                    points.append((rng.randint(1, 2 * n * den), den))
                 for num, den in points:
                     assert (spectra._roots_above(counts, num, den)
                             == reference(num, den)), (bits, num, den)
@@ -440,10 +444,12 @@ class TestRootsAbove:
                 assert spectra._roots_above(counts, 2 * a, 2) == want
 
     def test_pivot_sign_undecided_raises(self):
-        with pytest.raises(ArithmeticError, match="epsilon"):
-            spectra._first_order_sign(0, 0)
-        assert spectra._first_order_sign(0, -3) == -1
-        assert spectra._first_order_sign(2, -3) == 1
+        # (0, 1) is no graph: its empty leading 0-block makes X = a and
+        # Y = a (1 + a), so at a = 0 (also as 0/2) cX - Y = -epsilon^2
+        # is 0 to first order
+        for num, den in ((0, 1), (0, 2)):
+            with pytest.raises(ArithmeticError, match="epsilon"):
+                spectra._roots_above((0, 1), num, den)
 
     def test_stuck_count_raises_quickly(self, monkeypatch):
         # a count stuck at 2 around one point never isolates; the

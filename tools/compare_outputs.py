@@ -13,6 +13,9 @@ the outputs are compared byte for byte once the timing fields
   info-coarse  `info --json` for the same sequences at 1 and 0.5
   hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file
   family       `family four|six --i 1..20 --verify --json`
+  manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
+               forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
+               1-3 vertices
 
 Prints the first query whose exit code, stdout, stderr or csv file
 differs, with both outputs, and exits 1; otherwise prints `identical` and
@@ -24,6 +27,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -40,6 +44,14 @@ def connected_sequences(max_n: int) -> list[str]:
     decides which queries run."""
     return ["0" + (format(idx, f"0{n - 2}b") if n > 2 else "") + "1"
             for n in range(2, max_n + 1) for idx in range(1 << (n - 2))]
+
+
+def block_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
+    """`per_b` connected block forms for each number of blocks B, with
+    1-3 vertices a block, as block expressions from a fixed seed."""
+    rng = random.Random(2013)
+    return [" ".join(f"{j % 2}^{rng.randint(1, 3)}" for j in range(b))
+            for b in block_numbers for _ in range(per_b)]
 
 
 def gates() -> list[tuple[str, list[str]]]:
@@ -62,6 +74,11 @@ def gates() -> list[tuple[str, list[str]]]:
         for i in range(1, 21):
             queries.append(("family", ["family", family, "--i", str(i),
                                        "--verify", "--json"]))
+    forms = block_forms((14, 18, 24, 26, 32, 40), 25)
+    for precision in ("1e-10", "1e-60"):
+        for form in forms:
+            queries.append(("manyblocks", ["energy", form, "--precision",
+                                           precision, "--json"]))
     return queries
 
 
