@@ -25,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 from . import families, linalg, spectra
@@ -67,6 +67,24 @@ class CriterionResult:
                 f"({self.elapsed:.2f}s) {self.detail}")
 
 
+CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str) -> Callable:
+    """Register a check returning (passed, detail) as criterion `number`;
+    the registered function times it and returns its CriterionResult."""
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable:
+        @wraps(check)
+        def timed() -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = check()
+            return CriterionResult(number, name, passed, detail,
+                                   time.perf_counter() - started)
+        CRITERIA[number] = timed
+        return timed
+    return register
+
+
 @lru_cache(maxsize=1)
 def _corpus(max_n: int) -> tuple[tuple[tuple[int, ...], Poly, Poly], ...]:
     """(sequence, block-formula polynomial, determinant polynomial) for
@@ -90,9 +108,9 @@ def _root_multiplicity(p: Poly, divisor: Poly) -> int:
         count += 1
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "formula-vs-determinant-oracle")
+def criterion_1() -> tuple[bool, str]:
     """Block formula equals the determinant polynomial on the full corpus."""
-    started = time.perf_counter()
     mismatches = []
     rows = _corpus(CORPUS_MAX_N)
     for bits, formula, oracle in rows:
@@ -101,13 +119,12 @@ def criterion_1() -> CriterionResult:
     detail = f"{len(rows)} graphs with n <= {CORPUS_MAX_N}, {len(mismatches)} mismatches"
     if mismatches:
         detail += f"; first: {format_sequence(mismatches[0])}"
-    return CriterionResult(1, "formula-vs-determinant-oracle", not mismatches,
-                           detail, time.perf_counter() - started)
+    return not mismatches, detail
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "zero-and-minus-one-multiplicities")
+def criterion_2() -> tuple[bool, str]:
     """Counted multiplicities of 0 and -1 match the block-count formulas."""
-    started = time.perf_counter()
     bad = 0
     rows = _corpus(CORPUS_MAX_N)
     first = ""
@@ -123,8 +140,7 @@ def criterion_2() -> CriterionResult:
                 first = (f"; first: {format_sequence(bits)} formula "
                          f"({want0},{want1}) vs counted ({got0},{got1})")
     detail = f"{len(rows)} graphs, {bad} disagreements{first}"
-    return CriterionResult(2, "zero-and-minus-one-multiplicities", bad == 0,
-                           detail, time.perf_counter() - started)
+    return bad == 0, detail
 
 
 def _four_block_expansion(a1: int, a2: int, a3: int, a4: int,
@@ -150,7 +166,8 @@ def _four_block_expansion(a1: int, a2: int, a3: int, a4: int,
     return normalize(out)
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "four-block-identity")
+def criterion_3() -> tuple[bool, str]:
     """Four-block expansion versus the engine and the determinant route,
     20 pseudo-random tuples.
 
@@ -160,7 +177,6 @@ def criterion_3() -> CriterionResult:
     x^s0 (x+1)^s1 times it equalling the determinant-route characteristic
     polynomial, which does not use the companion factor.
     """
-    started = time.perf_counter()
     rng = random.Random(20250806)
     engine_bad = 0
     oracle_bad = 0
@@ -190,14 +206,12 @@ def criterion_3() -> CriterionResult:
               f"determinant route on {oracle_bad}; erratum: the transcribed "
               f"form (xy positive, constant negative) mismatched the "
               f"determinant route on {literal_bad}/20{first}")
-    return CriterionResult(3, "four-block-identity",
-                           engine_bad == 0 and oracle_bad == 0, detail,
-                           time.perf_counter() - started)
+    return engine_bad == 0 and oracle_bad == 0, detail
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "index-sequence-sets")
+def criterion_4() -> tuple[bool, str]:
     """Index-sequence sets for (7,4) and (6,4) match the reference sets."""
-    started = time.perf_counter()
     want_7_4 = {(2, 3, 4, 5), (2, 3, 4, 7), (2, 3, 6, 7), (2, 5, 6, 7),
                 (4, 5, 6, 7)}
     want_6_4 = {(1, 2, 3, 4), (1, 2, 3, 6), (1, 2, 5, 6), (1, 4, 5, 6),
@@ -207,13 +221,12 @@ def criterion_4() -> CriterionResult:
     ok = got_7_4 == want_7_4 and got_6_4 == want_6_4
     detail = (f"(7,4): {'match' if got_7_4 == want_7_4 else got_7_4}; "
               f"(6,4): {'match' if got_6_4 == want_6_4 else got_6_4}")
-    return CriterionResult(4, "index-sequence-sets", ok, detail,
-                           time.perf_counter() - started)
+    return ok, detail
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "family-closed-forms")
+def criterion_5() -> tuple[bool, str]:
     """Closed-form factorizations equal the engine for i = 1..15."""
-    started = time.perf_counter()
     bad = []
     lines = []
     for fam in (families.FamilyId.FOUR_BLOCK, families.FamilyId.SIX_BLOCK):
@@ -229,14 +242,13 @@ def criterion_5() -> CriterionResult:
     detail = f"{4 * FAMILY_MAX_I} member polynomials compared, {len(bad)} diffs"
     if bad:
         detail += f"; first at {bad[0]}: " + " | ".join(lines[:2])
-    return CriterionResult(5, "family-closed-forms", not bad, detail,
-                           time.perf_counter() - started)
+    return not bad, detail
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "family-pairs-noncospectral-equienergetic")
+def criterion_6() -> tuple[bool, str]:
     """Pairs are noncospectral with overlapping energies at 1e-12 and
     exactly equal energies by the shared-factor route, i = 1..15."""
-    started = time.perf_counter()
     tol = Fraction(4, 10 ** 12)
     failures = []
     for fam in (families.FamilyId.FOUR_BLOCK, families.FamilyId.SIX_BLOCK):
@@ -250,13 +262,12 @@ def criterion_6() -> CriterionResult:
     if failures:
         fam, i, rep = failures[0]
         detail += f"; first {fam} i={i}: {rep.details}"
-    return CriterionResult(6, "family-pairs-noncospectral-equienergetic",
-                           not failures, detail, time.perf_counter() - started)
+    return not failures, detail
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "family-energy-bounds")
+def criterion_7() -> tuple[bool, str]:
     """Energy bounds against the complete graph for i = 1..15."""
-    started = time.perf_counter()
     slack = Fraction(1, 10 ** 9)
     k_tol = Fraction(1, 10 ** 10)
     problems = []
@@ -279,11 +290,11 @@ def criterion_7() -> CriterionResult:
     detail = f"checked i=1..{FAMILY_MAX_I} both families, {len(problems)} violations"
     if problems:
         detail += f"; first: {problems[0]}"
-    return CriterionResult(7, "family-energy-bounds", not problems, detail,
-                           time.perf_counter() - started)
+    return not problems, detail
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "cubic-sign-and-root-localization")
+def criterion_8() -> tuple[bool, str]:
     """Cubic sign values and root localization for i = 1..50.
 
     Erratum: the transcribed value at -(2i+1) is -24i^3 - 16i^2 + 6i.
@@ -292,7 +303,6 @@ def criterion_8() -> CriterionResult:
     exactly into `values_ok`.  Both are negative for i >= 1, so the
     localization conclusions are the same under either.
     """
-    started = time.perf_counter()
     value_bad = []
     localization_bad = []
     for i in range(1, CUBIC_MAX_I + 1):
@@ -315,22 +325,19 @@ def criterion_8() -> CriterionResult:
                    f"{got_lower} at -(2i+1)")
     if localization_bad:
         detail += f"; localization failed for i in {localization_bad[:5]}"
-    return CriterionResult(8, "cubic-sign-and-root-localization", ok, detail,
-                           time.perf_counter() - started)
+    return ok, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "hunt-n14-recovers-pairs")
+def criterion_9() -> tuple[bool, str]:
     """The order-14 hunt recovers both constructed pairs via the CLI."""
     from . import cli
 
-    started = time.perf_counter()
     buffer = io.StringIO()
     code = cli.run(["hunt", "--n", str(HUNT_ORDER), "--precision", "1e-10",
                     "--json"], out=buffer)
     if code != 0:
-        return CriterionResult(9, "hunt-n14-recovers-pairs", False,
-                               f"hunt exited with {code}",
-                               time.perf_counter() - started)
+        return False, f"hunt exited with {code}"
     record = json.loads(buffer.getvalue())
     classes = record["results"]["classes"]
     missing = []
@@ -353,14 +360,13 @@ def criterion_9() -> CriterionResult:
     detail = (f"{stats['graphs']} graphs, {stats['equienergetic_classes']} "
               f"equienergetic classes, scan {stats['elapsed_seconds']}s; "
               f"missing pairs: {missing or 'none'}")
-    return CriterionResult(9, "hunt-n14-recovers-pairs", not missing, detail,
-                           time.perf_counter() - started)
+    return not missing, detail
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "energy-identity-random-sequences")
+def criterion_10() -> tuple[bool, str]:
     """Energy equals twice the positive-root sum within 4*n*precision for
     200 random connected sequences with n <= 16."""
-    started = time.perf_counter()
     rng = random.Random(987654321)
     precision = Fraction(1, 10 ** 10)
     worst = Fraction(0)
@@ -379,13 +385,12 @@ def criterion_10() -> CriterionResult:
             bad += 1
     detail = (f"200 sequences, {bad} outside 4*n*precision; worst |err|/n "
               f"= {float(worst):.3e}")
-    return CriterionResult(10, "energy-identity-random-sequences", bad == 0,
-                           detail, time.perf_counter() - started)
+    return bad == 0, detail
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "complete-graph-energy")
+def criterion_11() -> tuple[bool, str]:
     """Complete-graph energy equals 2n - 2 within 1e-10 for n = 2..50."""
-    started = time.perf_counter()
     tol = Fraction(1, 10 ** 10)
     bad = []
     for n in range(2, 51):
@@ -396,20 +401,4 @@ def criterion_11() -> CriterionResult:
                 and max(abs(hi - target), abs(target - lo)) <= tol):
             bad.append(n)
     detail = f"n = 2..50, {len(bad)} misses{': ' + str(bad) if bad else ''}"
-    return CriterionResult(11, "complete-graph-energy", not bad, detail,
-                           time.perf_counter() - started)
-
-
-CRITERIA: dict[int, Callable[[], CriterionResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
+    return not bad, detail

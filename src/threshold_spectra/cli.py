@@ -154,8 +154,7 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
-    family = (families.FamilyId.FOUR_BLOCK if args.family == "four"
-              else families.FamilyId.SIX_BLOCK)
+    family = families.FamilyId(args.family)
     pair = families.family_pair(family, args.i)
     results = pair.to_record()
     code = 0
@@ -175,19 +174,13 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
     precision = _parse_precision(args.precision)
+    if args.csv:
+        # fail on an unwritable path before the scan, leaving a file as is
+        open(args.csv, "a").close()
     result = hunt.full_scan(
         args.n, precision, processes=args.jobs, allow_large=args.allow_large)
     if args.csv:
         _write_hunt_csv(args.csv, result)
-    border = [format_sequence(b) for b in result.borderenergetic]
-    if args.borderenergetic:
-        results = {
-            "n": args.n,
-            "precision": args.precision,
-            "borderenergetic": border,
-            "stats": result.stats,
-        }
-        return results, 0
     results = {
         "n": args.n,
         "precision": args.precision,
@@ -210,9 +203,12 @@ def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
             }
             for k, cls in enumerate(result.equienergetic)
         ],
-        "borderenergetic": border,
+        "borderenergetic": [format_sequence(b)
+                            for b in result.borderenergetic],
         "stats": result.stats,
     }
+    if args.borderenergetic:
+        del results["classes"]
     return results, 0
 
 

@@ -135,24 +135,16 @@ def _pow2_root_bound(p: Poly) -> int:
 class _Enclosure:
     """Mutable working enclosure; endpoints are lo_num/den and hi_num/den."""
 
-    __slots__ = ("poly", "lo_num", "hi_num", "den", "sign_lo", "mult",
-                 "value_lo", "value_hi")
+    __slots__ = ("poly", "lo_num", "hi_num", "den", "sign_lo", "mult")
 
     def __init__(self, poly: Optional[Poly], lo_num: int, hi_num: int,
-                 den: int, sign_lo: int, mult: int,
-                 value_lo: Optional[int] = None,
-                 value_hi: Optional[int] = None):
+                 den: int, sign_lo: int, mult: int):
         self.poly = poly
         self.lo_num = lo_num
         self.hi_num = hi_num
         self.den = den
         self.sign_lo = sign_lo
         self.mult = mult
-        # value_at(poly, lo_num, den) and value_at(poly, hi_num, den) when
-        # the caller already computed them, else None; `refine_to` takes
-        # them instead of evaluating the endpoints again
-        self.value_lo = value_lo
-        self.value_hi = value_hi
 
     @property
     def is_point(self) -> bool:
@@ -185,10 +177,9 @@ class _Enclosure:
         else:
             self.lo_num, self.hi_num = lo2, mid
         self.den = den2
-        self.value_lo = self.value_hi = None
         return v
 
-    def refine_to(self, width: Fraction) -> None:
+    def refine_to(self, width: Fraction, v_lo: int, v_hi: int) -> None:
         """Refine until the width is at most `width`, by quadratic interval
         refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011).
 
@@ -211,9 +202,10 @@ class _Enclosure:
 
         The values of p at the endpoints, scaled to the current
         denominator, are carried from step to step, so only new points
-        are evaluated: the endpoint values come from `value_lo` and
-        `value_hi` when the caller had them, and a fallback step reuses
-        the midpoint value that `halve` returns.
+        are evaluated: the caller passes the starting values as `v_lo`
+        and `v_hi`, value_at(poly, lo_num, den) and value_at(poly,
+        hi_num, den), and a fallback step reuses the midpoint value that
+        `halve` returns.
         """
         lo, hi, den = self.lo_num, self.hi_num, self.den
         wn, wd = width.numerator, width.denominator
@@ -221,12 +213,6 @@ class _Enclosure:
             return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
-        v_lo, v_hi = self.value_lo, self.value_hi
-        self.value_lo = self.value_hi = None
-        if v_lo is None:
-            v_lo = value_at(poly, lo, den)
-        if v_hi is None:
-            v_hi = value_at(poly, hi, den)
         k = 2
         while (hi - lo) * wd > wn * den:
             gap = hi - lo
@@ -434,8 +420,8 @@ def isolate_real_roots(p: Poly, width: Rational,
                     "isolating interval without a sign change of the "
                     "polynomial")
             enc = _Enclosure(reduced, lo, hi, den, 1 if v_lo > 0 else -1,
-                             mult, v_lo, v_hi)
-            enc.refine_to(w)
+                             mult)
+            enc.refine_to(w, v_lo, v_hi)
             encs.append(enc)
     _separate(encs)
     return [RootEnclosure(e.lo, e.hi, e.mult) for e in encs]

@@ -306,20 +306,24 @@ def _char_poly_from_parts(m0: int, m1: int, rest: Poly) -> Poly:
     return mul_xk(mul(rest, poly_pow(_Y, m1)), m0)
 
 
-def _eigen_enclosures(rest: Poly, precision: Fraction
+def _eigen_enclosures(rest: Poly, precision: Fraction, m0: int, m1: int
                       ) -> list[RootEnclosure]:
-    """Enclosures of all roots of `rest`, each at most precision / deg(rest)
-    wide and strictly avoiding 0 and -1.
+    """Sorted enclosures of every eigenvalue: the points 0 and -1 with
+    multiplicities m0 and m1, each only if its multiplicity is nonzero,
+    and the roots of `rest`, each at most precision / deg(rest) wide.
 
-    Isolating x(x+1)*rest and dropping the two known point roots forces
-    the remaining enclosures away from both special eigenvalues.
+    Isolating x(x+1)*rest forces the enclosures of the roots of `rest`
+    strictly away from 0 and -1, and returns 0 and -1 themselves as point
+    enclosures of multiplicity 1; those two take m0 and m1 instead.
     """
     d = degree(rest)
-    padded = mul(rest, (0, 1, 1))
+    special = {0: m0, -1: m1}
     out = []
-    for enc in isolate_real_roots(padded, precision / d):
-        if enc.is_point and enc.lo in (0, -1):
-            continue
+    for enc in isolate_real_roots(mul(rest, (0, 1, 1)), precision / d):
+        if enc.is_point and enc.lo in special:
+            if not special[enc.lo]:
+                continue
+            enc = RootEnclosure(enc.lo, enc.hi, special[enc.lo])
         out.append(enc)
     return out
 
@@ -413,7 +417,9 @@ class SpectralSummary:
 
 def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
     """Multiplicities, exact characteristic polynomial, root enclosures and
-    an energy interval of width <= precision, for a connected sequence."""
+    an energy interval of width <= precision, for a connected sequence.
+    The points 0 and -1 of the root list carry m0 and m1, and a point
+    whose multiplicity is 0 is left out (see `_eigen_enclosures`)."""
     if not bits:
         raise ValueError("empty sequence")
     blocks = to_blocks(bits)
@@ -424,14 +430,6 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
     m0, m1, rest = _nontrivial_parts(blocks)
     full = _char_poly_from_parts(m0, m1, rest)
     e_lo, e_hi = _energy_from_parts(rest, block_counts(blocks), prec)
-    encs = _eigen_enclosures(rest, prec)
-    enclosures: list[RootEnclosure] = []
-    if m0:
-        enclosures.append(RootEnclosure(Fraction(0), Fraction(0), m0))
-    if m1:
-        enclosures.append(RootEnclosure(Fraction(-1), Fraction(-1), m1))
-    enclosures.extend(encs)
-    enclosures.sort(key=lambda r: (r.lo, r.hi))
     return SpectralSummary(
         sequence=bits,
         n=len(bits),
@@ -439,7 +437,7 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
         m_minus1=m1,
         char_poly=full,
         nontrivial_factor=rest,
-        roots=tuple(enclosures),
+        roots=tuple(_eigen_enclosures(rest, prec, m0, m1)),
         energy_lo=e_lo,
         energy_hi=e_hi,
     )

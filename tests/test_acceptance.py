@@ -11,13 +11,22 @@ factor, and each check still prints the transcribed value as an erratum.
 
 from threshold_spectra import acceptance
 
+# criterion name -> number, over the criteria run in this session
+_NAMES = {}
+
 
 def _check(number):
     result = acceptance.CRITERIA[number]()
     print()
     print(result.line())
+    assert result.number == number
+    assert _NAMES.setdefault(result.name, number) == number, result.name
     assert result.passed, result.detail
     return result
+
+
+def test_registry_holds_criteria_one_to_eleven():
+    assert sorted(acceptance.CRITERIA) == list(range(1, 12))
 
 
 class TestAcceptance:

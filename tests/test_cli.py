@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import cli, spectra
+from threshold_spectra import cli, hunt, spectra
 from threshold_spectra.sequences import adjacency_matrix, parse_sequence
 
 
@@ -214,6 +214,27 @@ class TestHunt:
         assert record["results"]["borderenergetic"] == [
             "(0^1 1^1 0^1 1^6)", "(0^1 1^4 0^1 1^3)"]
 
+    def test_borderenergetic_is_the_default_without_classes(self):
+        _, full, _ = run_json("hunt", "--n", "9")
+        _, border, _ = run_json("hunt", "--n", "9", "--borderenergetic")
+        want = full["results"]
+        del want["classes"]
+        for results in (want, border["results"]):
+            results["stats"]["elapsed_seconds"] = None
+        assert border["results"] == want
+        _, full_text, _ = run_cli("hunt", "--n", "9")
+        _, border_text, _ = run_cli("hunt", "--n", "9", "--borderenergetic")
+        # the human form of the default output less its `classes` section
+        want_lines, in_classes = [], False
+        for line in full_text.splitlines():
+            if not line.startswith(" "):
+                in_classes = line.startswith("classes:")
+            if not (in_classes or line.startswith("  elapsed_seconds:")):
+                want_lines.append(line)
+        assert "classes:" in full_text
+        assert [line for line in border_text.splitlines()
+                if not line.startswith("  elapsed_seconds:")] == want_lines
+
     def test_csv_export(self, tmp_path):
         path = tmp_path / "rows.csv"
         code, _, _ = run_json("hunt", "--n", "6", "--csv", str(path))
@@ -221,6 +242,31 @@ class TestHunt:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sequence,energy_lo,energy_hi,char_poly,class_id"
         assert len(lines) == 1 + 16
+
+    def test_unwritable_csv_fails_before_the_scan(self, tmp_path,
+                                                  monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(hunt, "full_scan", no_scan)
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli("hunt", "--n", "13", "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_failed_scan_leaves_csv_unchanged(self, tmp_path, monkeypatch):
+        def failing_scan(*args, **kwargs):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(hunt, "full_scan", failing_scan)
+        path = tmp_path / "rows.csv"
+        path.write_text("kept\n")
+        code, _, err = run_cli("hunt", "--n", "6", "--csv", str(path))
+        assert code == 2
+        assert err == "error: scan failed\n"
+        assert path.read_text() == "kept\n"
 
     def test_guard(self):
         code, _, err = run_cli("hunt", "--n", "30")

@@ -13,7 +13,12 @@ from threshold_spectra.intpoly import (
     square_free_decomposition,
 )
 from threshold_spectra.linalg import charpoly
-from threshold_spectra.roots import isolate_real_roots, sign_at, sturm_chain
+from threshold_spectra.roots import (
+    isolate_real_roots,
+    sign_at,
+    sturm_chain,
+    value_at,
+)
 from threshold_spectra.sequences import (
     adjacency_matrix,
     block_counts,
@@ -332,8 +337,9 @@ class TestEnclosureContracts:
             assert abs(mid_sum - trace) <= n * width
 
 
-def bisection_refine(enc, width):
-    """The specification of `_Enclosure.refine_to`: plain bisection."""
+def bisection_refine(enc, width, v_lo, v_hi):
+    """The specification of `_Enclosure.refine_to`: plain bisection, which
+    needs no endpoint values and ignores them."""
     lo, hi, den = enc.lo_num, enc.hi_num, enc.den
     while lo != hi and (hi - lo) * width.denominator > width.numerator * den:
         lo, hi, den = lo << 1, hi << 1, den << 1
@@ -400,7 +406,8 @@ class TestRefinement:
                 for lo, hi, den in intervals:
                     enc = roots._Enclosure(reduced, lo, hi, den,
                                            sign_at(reduced, lo, den), 1)
-                    enc.refine_to(width)
+                    enc.refine_to(width, value_at(reduced, lo, den),
+                                  value_at(reduced, hi, den))
                     if Fraction(hi - lo, den) <= width:
                         assert (enc.lo, enc.hi) == (Fraction(lo, den),
                                                     Fraction(hi, den))

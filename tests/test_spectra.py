@@ -486,6 +486,24 @@ class TestSpectralSummary:
             assert s.energy_hi - s.energy_lo <= PRECISION
             assert all(a.hi <= b.lo for a, b in zip(s.roots, s.roots[1:]))
 
+    @pytest.mark.parametrize("precision", [Fraction(1), Fraction(1, 2),
+                                           Fraction(1, 10 ** 12)])
+    def test_root_list_small_orders(self, precision):
+        # sorted, pairwise strictly disjoint, 0 and -1 as points carrying
+        # m0 and m1 exactly when these are nonzero, n roots in all
+        for n in range(2, 10):
+            for bits in enumerate_connected(n):
+                s = spectral_summary(bits, precision)
+                rs = s.roots
+                assert all(a.hi < b.lo for a, b in zip(rs, rs[1:])), bits
+                special = {r.lo: r.multiplicity for r in rs
+                           if r.is_point and r.lo in (0, -1)}
+                want = {x: m for x, m in ((0, s.m0), (-1, s.m_minus1)) if m}
+                assert special == want, bits
+                assert not any(r.lo <= x <= r.hi for r in rs
+                               if not r.is_point for x in (0, -1)), bits
+                assert sum(r.multiplicity for r in rs) == n, bits
+
     def test_energy_upper_bound_below_complete(self):
         s = spectral_summary(parse_sequence("(0^3 1^6 0^3 1^2)"), PRECISION)
         assert s.energy_hi < 24

@@ -5,8 +5,10 @@
 Each SRC is a directory holding the `threshold_spectra` package, such as
 the `src/` of a checkout.  Both trees run the same queries at the same
 time, each in its own interpreter with `cli.run` called in-process, and
-the outputs are compared byte for byte once the timing fields
-(`timing_seconds`, `elapsed_seconds`) are blanked.  The gates:
+the outputs are compared byte for byte once the timing fields are
+blanked: `timing_seconds` and `elapsed_seconds` in their JSON and human
+forms, a criterion's `(N.NNs)` and criterion 9's `scan N.NNNs`.  The
+gates:
 
   energy-info  `energy --json` and `info --json` for every connected
                creation sequence with n <= 12, at 1e-12 and 1e-60
@@ -16,6 +18,12 @@ the outputs are compared byte for byte once the timing fields
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
                1-3 vertices
+  selftest     `selftest --json`
+  human        the human output, without `--json`, of `info`, `energy`
+               and `charpoly --oracle` on 20 seeded sequences with
+               n <= 10, `family four|six --i 1..3 --verify`, `hunt --n
+               2..10 --jobs 1` with and without `--borderenergetic`, and
+               `selftest`
 
 Prints the first query whose exit code, stdout, stderr or csv file
 differs, with both outputs, and exits 1; otherwise prints `identical` and
@@ -34,7 +42,8 @@ import sys
 import tempfile
 import threading
 
-TIMING = re.compile(r'"(timing_seconds|elapsed_seconds)": [-+0-9.eE]+')
+TIMING = re.compile(r'("?(?:timing_seconds|elapsed_seconds)"?: )[-+0-9.eE]+'
+                    r'|(scan |\()[0-9.]+s\b')
 CSV_NAME = "hunt.csv"
 
 
@@ -79,6 +88,20 @@ def gates() -> list[tuple[str, list[str]]]:
         for form in forms:
             queries.append(("manyblocks", ["energy", form, "--precision",
                                            precision, "--json"]))
+    queries.append(("selftest", ["selftest", "--json"]))
+    for seq in random.Random(1807).sample(connected_sequences(10), 20):
+        for argv in (["info", seq], ["energy", seq],
+                     ["charpoly", seq, "--oracle"]):
+            queries.append(("human", argv))
+    for family in ("four", "six"):
+        for i in range(1, 4):
+            queries.append(("human", ["family", family, "--i", str(i),
+                                      "--verify"]))
+    for n in range(2, 11):
+        for extra in ([], ["--borderenergetic"]):
+            queries.append(("human", ["hunt", "--n", str(n), "--jobs", "1",
+                                      *extra]))
+    queries.append(("human", ["selftest"]))
     return queries
 
 
@@ -95,7 +118,7 @@ def worker(src: str) -> None:
             out, err = io.StringIO(), io.StringIO()
             code = cli.run(argv, out=out, err=err)
             record = {"code": code, "err": err.getvalue(),
-                      "out": TIMING.sub(r'"\1": -', out.getvalue())}
+                      "out": TIMING.sub(r"\1\2-", out.getvalue())}
             if CSV_NAME in argv:
                 with open(CSV_NAME) as handle:
                     record["csv"] = handle.read()
