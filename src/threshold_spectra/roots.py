@@ -1,7 +1,10 @@
 """Guaranteed real-root isolation for integer polynomials.
 
 Roots are isolated by bisection steered by root counts and then refined
-by quadratic interval refinement (QIR), entirely in exact arithmetic.
+to the cell that bisection would reach.  Every enclosure is decided in
+exact arithmetic: where floats resolve the target cell, regula falsi in
+floats only guesses it and exact signs certify it, and everything else
+is refined by quadratic interval refinement (QIR).
 Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
 the square-free factors of p, so multiple roots carry their
 multiplicity.  For graph energy only the positive roots are wanted and
@@ -16,7 +19,7 @@ divides, and the split goes on with the same counter, so the root is
 reported as one point enclosure with that multiplicity.  All interval
 endpoints are dyadic rationals by construction, and refinement never
 goes deeper than the target width needs, so it ends on the same dyadic
-cell as plain bisection.
+cell as plain bisection whichever route it takes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isfinite, ldexp
 from typing import Callable, Optional, Union
 
 from .intpoly import (
@@ -132,6 +135,16 @@ def _pow2_root_bound(p: Poly) -> int:
     return m
 
 
+# Floats guess a refinement cell only when its width is at least about
+# 2^-_FLOAT_BITS of the magnitude of the interval's ends, leaving nine of
+# the 53 mantissa bits for rounding in evaluation.
+_FLOAT_BITS = 44
+# Most float steps one guess may take; no root of the energies of the
+# seeded block forms of tools/compare_outputs.py (14 to 40 blocks) needs
+# more than 35 at 1e-10.
+_FLOAT_STEPS = 64
+
+
 class _Enclosure:
     """Mutable working enclosure; endpoints are lo_num/den and hi_num/den."""
 
@@ -180,10 +193,23 @@ class _Enclosure:
         return v
 
     def refine_to(self, width: Fraction, v_lo: int, v_hi: int) -> None:
-        """Refine until the width is at most `width`, by quadratic interval
-        refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011).
+        """Refine until the width is at most `width`: in floats with an exact
+        certificate where floats resolve the target, and otherwise by
+        quadratic interval refinement (QIR: Abbott 2006; Kerber &
+        Sagraloff, ISSAC 2011).
 
-        A step cuts [lo, hi] into N = 2^k equal cells and takes the grid
+        The result is the cell holding the root in the dyadic grid that
+        cuts the starting interval into 2^D cells, D the first depth whose
+        cells fit the target, or the root itself when it is a point of
+        that grid: plain bisection's result, with the same denominator and
+        the same numerators.  Where a depth-D cell is at least
+        2^-_FLOAT_BITS of the magnitude of the interval's ends, as decided
+        on integer bit lengths, `_float_cell` guesses the cell in floats
+        and exact signs decide it.  What it cannot certify falls through
+        to QIR from the starting interval, so the route never changes the
+        result.
+
+        A QIR step cuts [lo, hi] into N = 2^k equal cells and takes the grid
         point j nearest the secant root, clamped to 1..N-1.  The exact
         sign of p there tells on which side of j the root lies; the cell
         next to j on that side is accepted only if p has opposite exact
@@ -194,11 +220,8 @@ class _Enclosure:
         0 is the root, and the enclosure becomes that point.
 
         No overshoot: k never exceeds the shift that brings the width to
-        the target.  Each enclosure is the cell holding the root in the
-        dyadic grid that cuts the starting interval into 2^depth cells,
-        and the loop stops at the first depth whose cells fit the target.
-        Plain bisection stops at the same depth, so the result is its
-        cell: the same denominator and the same numerators.
+        the target, so every QIR enclosure is a cell of the dyadic grid on
+        the starting interval, and the loop stops at depth D.
 
         The values of p at the endpoints, scaled to the current
         denominator, are carried from step to step, so only new points
@@ -210,6 +233,12 @@ class _Enclosure:
         lo, hi, den = self.lo_num, self.hi_num, self.den
         wn, wd = width.numerator, width.denominator
         if (hi - lo) * wd <= wn * den:  # also true of a point
+            return
+        gap = hi - lo
+        depth = ((gap * wd - 1) // (wn * den)).bit_length()
+        scale = max(-lo, hi).bit_length() - gap.bit_length()
+        if (depth + scale <= _FLOAT_BITS
+                and self._float_cell(depth, v_lo, v_hi)):
             return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
@@ -256,6 +285,118 @@ class _Enclosure:
                 v_lo, v_hi = v_mid, v_hi << deg
             lo, hi, den = self.lo_num, self.hi_num, self.den
         self.lo_num, self.hi_num, self.den = lo, hi, den
+
+    def _float_cell(self, depth: int, v_lo: int, v_hi: int) -> bool:
+        """Move to the depth-`depth` cell holding the root, or to the root
+        if p is 0 at a point of that grid, when a float guess and at most
+        three exact evaluations certify it; return whether they did.
+
+        `_float_position` guesses where the root lies.  The exact values
+        of p at the two ends of the guessed cell either differ in sign,
+        which certifies the cell since the interval holds one root, or
+        agree, and then the sign says on which side the root lies and the
+        neighbour on that side is tried the same way.  The interval's own
+        ends reuse `v_lo` and `v_hi`, scaled to the grid's denominator.
+        """
+        poly, lo, den = self.poly, self.lo_num, self.den
+        gap = self.hi_num - lo
+        try:
+            t = _float_position(poly, lo / den, self.hi_num / den,
+                                self.sign_lo, depth)
+        except OverflowError:
+            return False
+        if t is None:
+            return False
+        n, shift = 1 << depth, depth * (len(poly) - 1)
+        base, den2 = lo << depth, den << depth
+
+        def value(i: int) -> int:
+            if i == 0:
+                return v_lo << shift
+            if i == n:
+                return v_hi << shift
+            return value_at(poly, base + i * gap, den2)
+
+        c = min(int(t * n), n - 1)
+        u0, u1 = value(c), value(c + 1)
+        if u0 and u1 and (u0 > 0) == (u1 > 0):
+            if (u0 > 0) == (self.sign_lo > 0):
+                # u1 is not p(hi), so c + 1 < n; likewise c > 0 below
+                c, u0, u1 = c + 1, u1, value(c + 2)
+            else:
+                c, u0, u1 = c - 1, value(c - 1), u0
+            if u0 and u1 and (u0 > 0) == (u1 > 0):
+                return False
+        self.den = den2
+        if u0 == 0 or u1 == 0:
+            self.lo_num = self.hi_num = base + (c if u0 == 0 else c + 1) * gap
+        else:
+            self.lo_num, self.hi_num = base + c * gap, base + (c + 1) * gap
+        return True
+
+
+def _float_position(poly: Poly, a: float, b: float, sign_a: int,
+                    depth: int) -> Optional[float]:
+    """Where in [a, b] the one root of p lies, as a fraction t in [0, 1]
+    of the way from a to b, by Illinois regula falsi on the float
+    coefficients; None if floats cannot tell.
+
+    p has the exact sign `sign_a` at a and the opposite one at b.  An end
+    whose float value does not show its exact sign is within rounding of
+    the root, so that end is the guess.  Regula falsi crawls where p is
+    far from linear on the bracket, so every third step bisects instead
+    if the bracket has not halved since the last such check.  The steps
+    stop once the bracket is a quarter of a depth-`depth` cell wide, or
+    when a step no longer lands strictly inside it.  Coefficients beyond
+    float range raise OverflowError; an infinite or undefined value
+    returns None.
+    """
+    if not a < b:
+        return None
+    coeffs = [float(c) for c in reversed(poly)]
+    a0, span = a, b - a
+
+    def f(x: float) -> float:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    fa, fb = f(a), f(b)
+    if not (isfinite(fa) and isfinite(fb)):
+        return None
+    if fa * sign_a <= 0:
+        return 0.0
+    if fb * sign_a >= 0:
+        return 1.0
+    goal = ldexp(span, -depth - 2)
+    x, side, mark = a, 0, span
+    for step in range(_FLOAT_STEPS):
+        x = a + (b - a) * (fa / (fa - fb))
+        if step % 3 == 2:
+            if b - a > 0.5 * mark:
+                x = 0.5 * (a + b)
+            mark = b - a
+        if not a < x < b:
+            break
+        fx = f(x)
+        if not isfinite(fx):
+            return None
+        if fx == 0:
+            break
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5  # b kept twice: the Illinois step
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+        if b - a <= goal:
+            break
+    return min(max((x - a0) / span, 0.0), 1.0)
 
 
 def _separation_exponent(g: Poly) -> int:

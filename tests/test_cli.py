@@ -91,7 +91,11 @@ class TestEnergy:
         assert err.startswith("error:")
 
     def test_precision_exponent_limit(self):
+        # targets far below float resolution refine without floats
         assert run_cli("energy", "001", "--precision", "1e-1000")[0] == 0
+        assert run_cli("info", "001", "--precision", "1e-1000")[0] == 0
+        assert run_cli("hunt", "--n", "6", "--jobs", "1", "--json",
+                       "--precision", "1e-1000")[0] == 0
         code, _, err = run_cli("energy", "001", "--precision", "1e-1001")
         assert code == 2
         assert err.startswith("error:")

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -354,11 +355,11 @@ def bisection_refine(enc, width, v_lo, v_hi):
     enc.lo_num, enc.hi_num, enc.den = lo, hi, den
 
 
-def bisected_roots(p, width):
+def bisected_roots(p, width, above=None):
     """`isolate_real_roots` with its refinement replaced by bisection."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots._Enclosure, "refine_to", bisection_refine)
-        return isolate_real_roots(p, width)
+        return isolate_real_roots(p, width, above)
 
 
 def mignotte(d, a):
@@ -382,8 +383,9 @@ def random_square_free(rng, count):
 REFINE_WIDTHS = (Fraction(1, 10 ** 12), Fraction(1, 2 ** 700))
 MIGNOTTE = [mignotte(d, a) for d, a in ((5, 10), (7, 100), (9, 1000),
                                          (12, 10 ** 5))]
-# Dyadic roots that isolation does not hit, each found by a different
-# branch of the refinement (checked by instrumenting a copy): 3/8 at the
+# Dyadic roots that isolation does not hit.  At 1e-12 the float guess
+# finds each; at 2^-700, which floats do not resolve, each is found by a
+# different branch of QIR (checked by instrumenting a copy): 3/8 at the
 # secant's grid point, 1/4 at its neighbour, 7/8 by the fallback `halve`.
 DYADIC = [(mul((-3, 8), (-2, 0, 1)), Fraction(3, 8)),
           (mul((-1, 4), (-2, 0, 1)), Fraction(1, 4)),
@@ -425,6 +427,122 @@ class TestRefinement:
         encs = isolate_real_roots(p, width)
         assert roots.RootEnclosure(root, root, 1) in encs
         assert sum(e.is_point for e in encs) == 1
+
+
+def linear_quadratic_products(rng, count):
+    """Products of 1-3 integer linear factors and 1-2 integer quadratics
+    irreducible over the rationals, real-rooted or not."""
+    polys = []
+    for _ in range(count):
+        p = (1,)
+        for _ in range(rng.randint(1, 3)):
+            p = mul(p, (-rng.randint(-20, 20), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 2)):
+            while True:
+                b, c = rng.randint(-12, 12), rng.randint(-30, 30)
+                disc = b * b - 4 * c
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    break
+            p = mul(p, (c, b, 1))
+        polys.append(p)
+    return polys
+
+
+# from widths that floats resolve to one far below them
+FLOAT_WIDTHS = [Fraction(1, 10 ** k) for k in range(3, 13)] + [
+    Fraction(1, 10 ** 60)]
+
+
+def refine_evaluations(monkeypatch):
+    """Exact evaluations of each later `refine_to` call, in call order."""
+    per_call, inside = [], [False]
+    real_value_at, real_refine = roots.value_at, roots._Enclosure.refine_to
+
+    def counted_value_at(p, num, den):
+        if inside[0]:
+            per_call[-1] += 1
+        return real_value_at(p, num, den)
+
+    def counted_refine(enc, width, v_lo, v_hi):
+        per_call.append(0)
+        inside[0] = True
+        try:
+            real_refine(enc, width, v_lo, v_hi)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(roots, "value_at", counted_value_at)
+    monkeypatch.setattr(roots._Enclosure, "refine_to", counted_refine)
+    return per_call
+
+
+class TestFloatGuess:
+    """Refinement guesses the target cell in floats and certifies it by
+    exact signs; it must give what bisection gives, on every route."""
+
+    @pytest.mark.parametrize("route", ["sturm", "above"])
+    def test_same_enclosures_as_bisection(self, route):
+        for p in linear_quadratic_products(random.Random(1411), 25):
+            above = sturm_above(p) if route == "above" else None
+            for width in FLOAT_WIDTHS:
+                assert (isolate_real_roots(p, width, above)
+                        == bisected_roots(p, width, above))
+
+    def test_integer_root_inside_a_cell_is_a_point(self):
+        p = mul((-5, 1), (-2, 0, 1))
+        _, _, intervals = roots._subdivide(p, None)
+        # 5 is no midpoint of the split: isolation ends on (4, 8]
+        assert (Fraction(4), Fraction(8)) in [
+            (Fraction(lo, den), Fraction(hi, den))
+            for lo, hi, den in intervals]
+        for width in FLOAT_WIDTHS:
+            encs = isolate_real_roots(p, width)
+            assert roots.RootEnclosure(Fraction(5), Fraction(5), 1) in encs
+            assert encs == bisected_roots(p, width)
+
+    def test_coefficients_beyond_float_range(self):
+        p = tuple(10 ** 400 * c for c in (-2, 0, 1))
+        with pytest.raises(OverflowError):
+            roots._float_position(p, 1.0, 2.0, -1, 20)
+        above = sturm_above(p)
+        for width in (Fraction(1, 10 ** 10), Fraction(1, 10 ** 60)):
+            encs = isolate_real_roots(p, width, above)
+            assert encs == bisected_roots(p, width, above)
+            assert len(encs) == 1 and encs[0].lo ** 2 < 2 < encs[0].hi ** 2
+
+    @pytest.mark.parametrize("p", [
+        mul((-(1 << 1100), 1 << 1100), (-(1 << 1100) - 1, 1 << 1100)),
+        mul((-3 * (1 << 1100) - 1, 3 << 1100),
+            (-3 * (1 << 1100) - 2, 3 << 1100))])
+    def test_roots_closer_than_floats_resolve(self, p):
+        for width in (Fraction(1, 10 ** 10), Fraction(1, 2 ** 1200)):
+            encs = isolate_real_roots(p, width)
+            assert encs == bisected_roots(p, width)
+            assert len(encs) == 2 and encs[0].hi < encs[1].lo
+            assert all(contains_root(p, e) for e in encs)
+
+    def test_few_evaluations_per_root(self, monkeypatch):
+        precision = Fraction(1, 10 ** 10)
+        rests = []
+        rng = random.Random(26)
+        forms = ["01" * 13] + [" ".join(f"{j % 2}^{rng.randint(1, 2)}"
+                                        for j in range(26))
+                               for _ in range(10)]
+        for form in forms:
+            blocks = to_blocks(parse_sequence(form))
+            rests.append((block_counts(blocks),
+                          spectra._nontrivial_parts(blocks)[2]))
+        per_call = refine_evaluations(monkeypatch)
+        counts, rest = rests[0]
+        spectra._energy_from_parts(rest, counts, precision)
+        # (01)^13: 13 positive roots, 2 or 3 evaluations each
+        assert len(per_call) == 13 and max(per_call) <= 4
+        # a badly conditioned root may miss the guessed cell and fall
+        # back to QIR, but the mean stays at most 4
+        del per_call[:]
+        for counts, rest in rests[1:]:
+            spectra._energy_from_parts(rest, counts, precision)
+        assert len(per_call) == 130 and sum(per_call) <= 4 * len(per_call)
 
 
 class TestSturm:

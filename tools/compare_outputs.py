@@ -18,6 +18,10 @@ gates:
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
                1-3 vertices
+  float-edge   `energy --json` on the manyblocks forms at 1e-11 to 1e-16
+               and `info --json` for the connected sequences with n <= 10
+               at 1e-12, 1e-13 and 1e-15: about where refinement turns
+               from the float guess to exact QIR, and past it
   selftest     `selftest --json`
   human        the human output, without `--json`, of `info`, `energy`
                and `charpoly --oracle` on 20 seeded sequences with
@@ -87,6 +91,14 @@ def gates() -> list[tuple[str, list[str]]]:
     for precision in ("1e-10", "1e-60"):
         for form in forms:
             queries.append(("manyblocks", ["energy", form, "--precision",
+                                           precision, "--json"]))
+    for exponent in range(11, 17):
+        for form in forms:
+            queries.append(("float-edge", ["energy", form, "--precision",
+                                           f"1e-{exponent}", "--json"]))
+    for precision in ("1e-12", "1e-13", "1e-15"):
+        for seq in connected_sequences(10):
+            queries.append(("float-edge", ["info", seq, "--precision",
                                            precision, "--json"]))
     queries.append(("selftest", ["selftest", "--json"]))
     for seq in random.Random(1807).sample(connected_sequences(10), 20):
