@@ -5,10 +5,10 @@ overlap (transitively) are grouped into classes, which are the maximal
 runs of the intervals sorted by lower endpoint.  Classes holding two
 members with different exact characteristic polynomials are reported as
 noncospectral equienergetic candidates: the distinct-spectrum half of the
-claim is exact, the equal-energy half is certified to the working
-precision, and where the nontrivial factors differ only by integer linear
-terms it is upgraded to an exact equality via the shared-factor
-bookkeeping.
+claim is exact, and the equal-energy half is certified to the working
+precision only.  An exact shared-factor check of the pairs whose
+nontrivial factors differ only by integer linear terms feeds the
+`noncospectral_pairs_exactly_equal` statistic alone.
 """
 
 from __future__ import annotations
@@ -139,17 +139,26 @@ def _scan(n: int, precision: Fraction, processes: Optional[int],
 def _group(records: tuple[SequenceRecord, ...]) -> tuple[EnergyClass, ...]:
     """The energy classes in ascending order: the maximal runs of the
     records sorted by lower endpoint in which each interval starts no later
-    than the furthest upper endpoint before it."""
+    than the furthest upper endpoint before it.  Every endpoint is dyadic,
+    so the sort and merge run on numerators scaled to the largest
+    denominator, ties broken by upper endpoint and then by sequence."""
+    top = max((end.denominator for rec in records
+               for end in (rec.energy_lo, rec.energy_hi)), default=1)
+
+    def scaled(end: Fraction) -> int:
+        return end.numerator * (top // end.denominator)
+
     runs: list[list[SequenceRecord]] = []
-    reach = Fraction(0)
-    for rec in sorted(records, key=lambda r: (r.energy_lo, r.energy_hi,
-                                              r.bits)):
-        if runs and rec.energy_lo <= reach:
+    reach = 0
+    for lo, hi, _, _, rec in sorted(
+            (scaled(r.energy_lo), scaled(r.energy_hi), r.bits, k, r)
+            for k, r in enumerate(records)):
+        if runs and lo <= reach:
             runs[-1].append(rec)
-            reach = max(reach, rec.energy_hi)
+            reach = max(reach, hi)
         else:
             runs.append([rec])
-            reach = rec.energy_hi
+            reach = hi
     # Each run starts above every upper endpoint of the runs before it,
     # so the classes come out sorted by energy.
     return tuple(

@@ -21,7 +21,8 @@ c_j the j-th block count,
 
 and gamma_B(l) = sum_j E_j[l] with gamma_B(0) = 1.  One right-to-left pass
 that keeps a running suffix sum per parity yields every gamma_B(l) in
-O(B^2) integer operations.
+O(B^2) integer operations.  Q_B is then evaluated by Horner in xy, where
+each step multiplies by xy = x^2 + x with one shift-add, O(B^2) in all.
 
 The characteristic polynomial splits as x^m0 (x+1)^m1 rest.  Both
 multiplicities come from the block counts alone: m0 is the surplus of the
@@ -81,8 +82,6 @@ from .intpoly import (
     format_poly,
     mul,
     mul_xk,
-    normalize,
-    poly_pow,
     to_coeff_list,
 )
 from .roots import RootEnclosure, isolate_real_roots
@@ -99,7 +98,6 @@ from .util import decimal_lower, decimal_upper, fraction_str
 Rational = Union[int, Fraction]
 
 _Y: Poly = (1, 1)
-_XY: Poly = (0, 1, 1)
 
 
 def _require_connected(blocks: Blocks) -> None:
@@ -188,20 +186,18 @@ def q_polynomial(blocks: Blocks) -> Poly:
 
 
 def _q_from_counts(counts: tuple[int, ...]) -> Poly:
-    """Q_B of a connected block form, whose block count B is even."""
+    """Q_B of a connected block form, B = 2m blocks, by Horner in xy:
+    from acc = 1, acc = (-1)^(m-k) L_k + xy acc for k = m - 1 down to 0,
+    with L_k = gamma_B(B - 2k) + x gamma_B(B - 2k - 1)."""
     b = len(counts)
-    m = b // 2
     g = _gammas(counts)
-    acc = [0] * (b + 1)
-    xyk: Poly = (1,)
-    for k in range(m + 1):
-        # (-1)^(m-k) (xy)^k (gamma_B(B - 2k) + x gamma_B(B - 2k - 1))
-        sign = -1 if (m - k) % 2 else 1
-        linear = (g[b - 2 * k], g[b - 2 * k - 1]) if k < m else (g[0],)
-        for idx, c in enumerate(mul(xyk, linear)):
-            acc[idx] += sign * c
-        xyk = mul(xyk, _XY)
-    return normalize(acc)
+    acc = [g[0]]
+    sign = 1
+    for k in range(b // 2 - 1, -1, -1):
+        sign = -sign
+        acc = ([sign * g[b - 2 * k], sign * g[b - 2 * k - 1] + acc[0]]
+               + [p + q for p, q in zip(acc, acc[1:])] + [acc[-1]])
+    return tuple(acc)
 
 
 def char_poly(blocks: Blocks) -> Poly:
@@ -302,8 +298,14 @@ def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
 
 
 def _char_poly_from_parts(m0: int, m1: int, rest: Poly) -> Poly:
-    """The characteristic polynomial x^m0 (x+1)^m1 rest."""
-    return mul_xk(mul(rest, poly_pow(_Y, m1)), m0)
+    """The characteristic polynomial x^m0 (x+1)^m1 rest, multiplying by
+    x + 1 in place, one shift-add a factor."""
+    out = list(rest)
+    for _ in range(m1):
+        out.append(out[-1])
+        for i in range(len(out) - 2, 0, -1):
+            out[i] += out[i - 1]
+    return mul_xk(tuple(out), m0)
 
 
 def _eigen_enclosures(rest: Poly, precision: Fraction, m0: int, m1: int
@@ -342,18 +344,22 @@ def _energy_from_parts(rest: Poly, counts: tuple[int, ...],
     the inertia of every connected threshold graph.
     """
     b = len(counts)
-    lo = hi = Fraction(0)
-    found = 0
-    for enc in isolate_real_roots(rest, precision / b,
-                                  above=partial(_roots_above, counts)):
-        lo += enc.multiplicity * enc.lo
-        hi += enc.multiplicity * enc.hi
-        found += enc.multiplicity
+    encs = isolate_real_roots(rest, precision / b,
+                              above=partial(_roots_above, counts))
+    # every endpoint is dyadic: sum numerators on the largest denominator
+    top = max((end.denominator for e in encs for end in (e.lo, e.hi)),
+              default=1)
+    lo = hi = found = 0
+    for enc in encs:
+        k = enc.multiplicity
+        lo += k * enc.lo.numerator * (top // enc.lo.denominator)
+        hi += k * enc.hi.numerator * (top // enc.hi.denominator)
+        found += k
     if 2 * found != b:
         raise ArithmeticError(
             f"inertia check failed: {found} positive eigenvalues found "
             f"for {b} blocks, expected {b}/2")
-    return 2 * lo, 2 * hi
+    return Fraction(2 * lo, top), Fraction(2 * hi, top)
 
 
 def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from threshold_spectra import hunt
-from threshold_spectra.hunt import full_scan
+from threshold_spectra.hunt import EnergyClass, SequenceRecord, full_scan
 from threshold_spectra.sequences import enumerate_connected, parse_sequence
 from threshold_spectra.spectra import energy, is_cospectral
 
@@ -41,6 +41,67 @@ class TestClassify:
             full_scan(25, PRECISION)
         with pytest.raises(ValueError):
             full_scan(1, PRECISION)
+
+
+def fraction_group(records):
+    """Energy classes keyed on the Fraction endpoints themselves: the
+    reference for the integer keys of `hunt._group`."""
+    runs = []
+    for rec in sorted(records, key=lambda r: (r.energy_lo, r.energy_hi,
+                                              r.bits)):
+        if runs and rec.energy_lo <= reach:
+            runs[-1].append(rec)
+            reach = max(reach, rec.energy_hi)
+        else:
+            runs.append([rec])
+            reach = rec.energy_hi
+    return tuple(
+        EnergyClass(energy_lo=run[0].energy_lo,
+                    energy_hi=max(rec.energy_hi for rec in run),
+                    members=tuple(sorted((rec.bits, rec.char_poly)
+                                         for rec in run)))
+        for run in runs)
+
+
+def record(bits, lo, hi):
+    return SequenceRecord(tuple(int(c) for c in bits), (len(bits),),
+                          Fraction(lo), Fraction(hi))
+
+
+class TestGroupKeys:
+    def test_empty(self):
+        assert hunt._group(()) == () == fraction_group(())
+
+    def test_hand_built_records(self):
+        tiny = Fraction(1, 2 ** 40)
+        records = (
+            # touching: lo == reach joins the class
+            record("0101", 2, 3), record("0111", 3, Fraction(25, 8)),
+            # just past the reach: a class of its own
+            record("0011", Fraction(25, 8) + tiny, Fraction(27, 8)),
+            # equal lo, ordered by hi and then by bits
+            record("00111", 5, 6), record("00011", 5, Fraction(41, 8)),
+            record("01011", 5, Fraction(41, 8)),
+            # the zero-width exact energy of K_6, and one touching it
+            record("011111", 10, 10), record("01001", 10, Fraction(81, 8)),
+            # a wide interval holds the reach past a narrow one inside it
+            record("001011", 20, 30), record("010011", 21, 22),
+            record("000111", 25, 26),
+        )
+        expected = fraction_group(records)
+        assert [len(cls.members) for cls in expected] == [2, 1, 3, 2, 3]
+        for order in (records, records[::-1], records[3:] + records[:3]):
+            got = hunt._group(order)
+            assert got == expected
+            for a, b in zip(got, expected):
+                assert type(a.energy_lo) is type(a.energy_hi) is Fraction
+                assert (a.energy_lo.denominator, a.energy_hi.denominator) \
+                    == (b.energy_lo.denominator, b.energy_hi.denominator)
+
+    def test_matches_reference_on_scans(self):
+        for n in range(2, 12):
+            records = full_scan(n, PRECISION).records
+            assert hunt._group(records) == fraction_group(records)
 
 
 class TestEquienergeticSearch:

@@ -226,6 +226,23 @@ class TestCompanionFactor:
         with pytest.raises(ValueError):
             q_polynomial(((0, 2),))
 
+    def test_horner_matches_gamma_sum_formula(self):
+        # Q_B = sum_k (-1)^(m-k) (xy)^k (gamma(B - 2k) + x gamma(B - 2k - 1))
+        rng = random.Random(1515)
+        for _ in range(60):
+            b = rng.randint(1, 8) * 2
+            blocks = tuple((k % 2, rng.randint(1, 5)) for k in range(b))
+            m = b // 2
+            expected = ()
+            for k in range(m + 1):
+                linear = (gamma(blocks, b - 2 * k),
+                          gamma(blocks, b - 2 * k - 1) if k < m else 0)
+                term = mul(poly_pow((0, 1, 1), k), linear)
+                if (m - k) % 2:
+                    term = tuple(-c for c in term)
+                expected = add(expected, term)
+            assert spectra._q_from_counts(block_counts(blocks)) == expected
+
 
 class TestCharPoly:
     def test_four_block_closed_product(self):
@@ -253,6 +270,15 @@ class TestCharPoly:
                        tuple((k % 2, c) for k, c in enumerate(counts))):
             bits = tuple(bit for bit, c in blocks for _ in range(c))
             assert char_poly(blocks) == linalg.charpoly(adjacency_matrix(bits))
+
+    @pytest.mark.parametrize("text", ["(0^1 1^39)", "(0^20 1^20)",
+                                      "(0^1 1^30)", "(0^3 1^1 0^2 1^1)"])
+    def test_in_place_assembly_with_large_multiplicities(self, text):
+        m0, m1, rest = spectra._nontrivial_parts(
+            to_blocks(parse_sequence(text)))
+        expected = mul_xk(mul(rest, poly_pow((1, 1), m1)), m0)
+        assert spectra._char_poly_from_parts(m0, m1, rest) == expected
+        assert spectra._char_poly_from_parts(0, 0, rest) == rest
 
     def test_single_extra_minus_one_iff_leading_singleton(self):
         for n in range(2, 9):
@@ -398,6 +424,45 @@ class TestPositiveEigenvalues:
                             + (num == 0))
         with pytest.raises(ArithmeticError, match="sign change"):
             spectra._energy_from_parts(rest, counts, PRECISION)
+
+
+def fraction_energy(rest, counts, precision):
+    """Energy interval as the Fraction sum of the enclosures that
+    `_energy_from_parts` sums: the reference for its integer sum."""
+    encs = isolate_real_roots(rest, precision / len(counts),
+                              above=partial(spectra._roots_above, counts))
+    for enc in encs:
+        for end in (enc.lo, enc.hi):
+            # the integer sum scales every endpoint to one denominator
+            assert end.denominator & (end.denominator - 1) == 0, end
+    lo = sum((e.multiplicity * e.lo for e in encs), Fraction(0))
+    hi = sum((e.multiplicity * e.hi for e in encs), Fraction(0))
+    return 2 * lo, 2 * hi
+
+
+class TestDyadicEnergySum:
+    @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 12),
+                                           Fraction(1, 10 ** 60)])
+    def test_every_order_up_to_ten(self, precision):
+        for n in range(2, 11):
+            for bits in enumerate_connected(n):
+                blocks = to_blocks(bits)
+                counts = block_counts(blocks)
+                _, _, rest = spectra._nontrivial_parts(blocks)
+                got = spectra._energy_from_parts(rest, counts, precision)
+                assert got == fraction_energy(rest, counts, precision), bits
+                assert all(type(end) is Fraction for end in got)
+
+    @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 10),
+                                           Fraction(1, 10 ** 60)])
+    def test_many_block_forms(self, precision):
+        rng = random.Random(2440)
+        for b in (24, 28, 32, 40):
+            counts = tuple(rng.randint(1, 3) for _ in range(b))
+            blocks = tuple((k % 2, c) for k, c in enumerate(counts))
+            _, _, rest = spectra._nontrivial_parts(blocks)
+            assert spectra._energy_from_parts(rest, counts, precision) == (
+                fraction_energy(rest, counts, precision))
 
 
 def sturm_above(rest):

@@ -13,7 +13,10 @@ gates:
   energy-info  `energy --json` and `info --json` for every connected
                creation sequence with n <= 12, at 1e-12 and 1e-60
   info-coarse  `info --json` for the same sequences at 1 and 0.5
-  hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file
+  hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file,
+               and `hunt --n 12 --jobs 2 --json --csv`, whose records
+               come from forked worker processes on a host with two or
+               more CPUs
   family       `family four|six --i 1..20 --verify --json`
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
@@ -83,6 +86,8 @@ def gates() -> list[tuple[str, list[str]]]:
     for n in range(2, 15):
         queries.append(("hunt", ["hunt", "--n", str(n), "--jobs", "1",
                                  "--json", "--csv", CSV_NAME]))
+    queries.append(("hunt", ["hunt", "--n", "12", "--jobs", "2", "--json",
+                             "--csv", CSV_NAME]))
     for family in ("four", "six"):
         for i in range(1, 21):
             queries.append(("family", ["family", family, "--i", str(i),
