@@ -315,3 +315,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

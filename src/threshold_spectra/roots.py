@@ -1,10 +1,10 @@
 """Guaranteed real-root isolation for integer polynomials.
 
 Roots are isolated by bisection steered by root counts and then refined
-to the cell that bisection would reach.  Every enclosure is decided in
-exact arithmetic: where floats resolve the target cell, regula falsi in
-floats only guesses it and exact signs certify it, and everything else
-is refined by quadratic interval refinement (QIR).
+by quadratic interval refinement (QIR) to the cell that bisection would
+reach.  Every enclosure is decided in exact arithmetic: where floats
+resolve the target cell, regula falsi in floats only picks QIR's first
+grid point, and exact signs certify every cell.
 Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
 the square-free factors of p, so multiple roots carry their
 multiplicity.  For graph energy only the positive roots are wanted and
@@ -135,9 +135,9 @@ def _pow2_root_bound(p: Poly) -> int:
     return m
 
 
-# Floats guess a refinement cell only when its width is at least about
-# 2^-_FLOAT_BITS of the magnitude of the interval's ends, leaving nine of
-# the 53 mantissa bits for rounding in evaluation.
+# Floats pick refinement's first grid point only when its cells are at
+# least about 2^-_FLOAT_BITS of the magnitude of the interval's ends,
+# leaving nine of the 53 mantissa bits for rounding in evaluation.
 _FLOAT_BITS = 44
 # Most float steps one guess may take; no root of the energies of the
 # seeded block forms of tools/compare_outputs.py (14 to 40 blocks) needs
@@ -193,21 +193,15 @@ class _Enclosure:
         return v
 
     def refine_to(self, width: Fraction, v_lo: int, v_hi: int) -> None:
-        """Refine until the width is at most `width`: in floats with an exact
-        certificate where floats resolve the target, and otherwise by
-        quadratic interval refinement (QIR: Abbott 2006; Kerber &
-        Sagraloff, ISSAC 2011).
+        """Refine until the width is at most `width` by quadratic interval
+        refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011),
+        whose first grid point may come from floats.
 
         The result is the cell holding the root in the dyadic grid that
         cuts the starting interval into 2^D cells, D the first depth whose
         cells fit the target, or the root itself when it is a point of
         that grid: plain bisection's result, with the same denominator and
-        the same numerators.  Where a depth-D cell is at least
-        2^-_FLOAT_BITS of the magnitude of the interval's ends, as decided
-        on integer bit lengths, `_float_cell` guesses the cell in floats
-        and exact signs decide it.  What it cannot certify falls through
-        to QIR from the starting interval, so the route never changes the
-        result.
+        the same numerators.
 
         A QIR step cuts [lo, hi] into N = 2^k equal cells and takes the grid
         point j nearest the secant root, clamped to 1..N-1.  The exact
@@ -218,6 +212,13 @@ class _Enclosure:
         runs, so every step shrinks the enclosure by at least one
         bisection step and the loop terminates.  A grid point where p is
         0 is the root, and the enclosure becomes that point.
+
+        Where a depth-D cell is at least 2^-_FLOAT_BITS of the magnitude
+        of the interval's ends, as decided on integer bit lengths, the
+        first step instead takes k = D and j nearest the root that
+        `_float_position` finds in floats, and may walk one cell further
+        toward the root before it fails; an end of [lo, hi] always closes
+        the sign change.  A miss halves once and goes on with k = 2.
 
         No overshoot: k never exceeds the shift that brings the width to
         the target, so every QIR enclosure is a cell of the dyadic grid on
@@ -234,37 +235,50 @@ class _Enclosure:
         wn, wd = width.numerator, width.denominator
         if (hi - lo) * wd <= wn * den:  # also true of a point
             return
-        gap = hi - lo
-        depth = ((gap * wd - 1) // (wn * den)).bit_length()
-        scale = max(-lo, hi).bit_length() - gap.bit_length()
-        if (depth + scale <= _FLOAT_BITS
-                and self._float_cell(depth, v_lo, v_hi)):
-            return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
-        k = 2
+        gap = hi - lo
+        k = ((gap * wd - 1) // (wn * den)).bit_length()
+        guess = None
+        if k + max(-lo, hi).bit_length() - gap.bit_length() <= _FLOAT_BITS:
+            try:
+                guess = _float_position(poly, lo / den, hi / den,
+                                        self.sign_lo, k)
+            except OverflowError:
+                pass
+        if guess is None:
+            k = 2
         while (hi - lo) * wd > wn * den:
             gap = hi - lo
             k = min(k, ((gap * wd - 1) // (wn * den)).bit_length())
             n, shift = 1 << k, k * deg
-            # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
-            diff = v_lo - v_hi
-            top = n * v_lo if diff > 0 else -n * v_lo
-            diff = abs(diff)
-            j = min(max((2 * top + diff) // (2 * diff), 1), n - 1)
-            den2 = den << k
-            x = (lo << k) + j * gap
-            v = value_at(poly, x, den2)
-            right = (v > 0) == positive_lo
-            if v == 0:
-                y, u = x, 0  # x is the root
-            elif right:
-                y = x + gap
-                u = v_hi << shift if j == n - 1 else value_at(poly, y, den2)
+            if guess is None:
+                # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
+                diff = v_lo - v_hi
+                top = n * v_lo if diff > 0 else -n * v_lo
+                diff = abs(diff)
+                j = (2 * top + diff) // (2 * diff)
             else:
-                y = x - gap
-                u = v_lo << shift if j == 1 else value_at(poly, y, den2)
-            if u == 0:
+                j = round(guess * n)
+            base, den2 = lo << k, den << k
+            y = base + min(max(j, 1), n - 1) * gap
+            u = value_at(poly, y, den2)
+            right = (u > 0) == positive_lo
+            # a guessed step may walk one cell further toward the root
+            for _ in range(1 if guess is None else 2):
+                if u == 0:
+                    break
+                x, v = y, u
+                y = x + gap if right else x - gap
+                if y == base:
+                    u = v_lo << shift
+                elif y == hi << k:
+                    u = v_hi << shift
+                else:
+                    u = value_at(poly, y, den2)
+                if ((u > 0) == positive_lo) != right:
+                    break
+            if u == 0:  # y is the root
                 self.lo_num = self.hi_num = y
                 self.den = den2
                 return
@@ -274,7 +288,8 @@ class _Enclosure:
                 den = den2
                 k <<= 1
                 continue
-            k >>= 1
+            k = k >> 1 if guess is None else 2
+            guess = None
             self.lo_num, self.hi_num, self.den = lo, hi, den
             v_mid = self.halve()
             if self.is_point:
@@ -285,54 +300,6 @@ class _Enclosure:
                 v_lo, v_hi = v_mid, v_hi << deg
             lo, hi, den = self.lo_num, self.hi_num, self.den
         self.lo_num, self.hi_num, self.den = lo, hi, den
-
-    def _float_cell(self, depth: int, v_lo: int, v_hi: int) -> bool:
-        """Move to the depth-`depth` cell holding the root, or to the root
-        if p is 0 at a point of that grid, when a float guess and at most
-        three exact evaluations certify it; return whether they did.
-
-        `_float_position` guesses where the root lies.  The exact values
-        of p at the two ends of the guessed cell either differ in sign,
-        which certifies the cell since the interval holds one root, or
-        agree, and then the sign says on which side the root lies and the
-        neighbour on that side is tried the same way.  The interval's own
-        ends reuse `v_lo` and `v_hi`, scaled to the grid's denominator.
-        """
-        poly, lo, den = self.poly, self.lo_num, self.den
-        gap = self.hi_num - lo
-        try:
-            t = _float_position(poly, lo / den, self.hi_num / den,
-                                self.sign_lo, depth)
-        except OverflowError:
-            return False
-        if t is None:
-            return False
-        n, shift = 1 << depth, depth * (len(poly) - 1)
-        base, den2 = lo << depth, den << depth
-
-        def value(i: int) -> int:
-            if i == 0:
-                return v_lo << shift
-            if i == n:
-                return v_hi << shift
-            return value_at(poly, base + i * gap, den2)
-
-        c = min(int(t * n), n - 1)
-        u0, u1 = value(c), value(c + 1)
-        if u0 and u1 and (u0 > 0) == (u1 > 0):
-            if (u0 > 0) == (self.sign_lo > 0):
-                # u1 is not p(hi), so c + 1 < n; likewise c > 0 below
-                c, u0, u1 = c + 1, u1, value(c + 2)
-            else:
-                c, u0, u1 = c - 1, value(c - 1), u0
-            if u0 and u1 and (u0 > 0) == (u1 > 0):
-                return False
-        self.den = den2
-        if u0 == 0 or u1 == 0:
-            self.lo_num = self.hi_num = base + (c if u0 == 0 else c + 1) * gap
-        else:
-            self.lo_num, self.hi_num = base + c * gap, base + (c + 1) * gap
-        return True
 
 
 def _float_position(poly: Poly, a: float, b: float, sign_a: int,

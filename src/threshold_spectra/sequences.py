@@ -9,7 +9,6 @@ the graph is connected exactly when the last block is a 1-block.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator
 
 # A creation sequence is a tuple of bits; a block form is a tuple of
@@ -48,10 +47,11 @@ def parse_sequence(text: str) -> Bits:
             count = int(text[i:j])
             if count < 1:
                 raise ValueError(f"block count must be positive, got {count}")
-            if count > sys.maxsize:
-                raise ValueError(f"block count {count} exceeds {sys.maxsize}")
             i = j
-        bits.extend([sym] * count)
+        try:
+            bits.extend([sym] * count)
+        except (OverflowError, MemoryError):
+            raise ValueError(f"block count {count} is too large") from None
     if not bits:
         raise ValueError("empty sequence")
     if bits[0] != 0:

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -101,9 +105,21 @@ class TestEnergy:
         assert err.startswith("error:")
 
     def test_block_count_beyond_index_range(self):
-        # rejected before a list of that many bits is asked for; counts
-        # that fit an index but are huge would allocate, so none is tried
+        # the expansion fails before anything is allocated; counts that
+        # fit an index but are only huge would allocate, so none is tried
         code, out, err = run_cli("energy", "0^99999999999999999999")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error: block count")
+
+    @pytest.mark.parametrize("argv", [
+        ("energy", f"0^3 1^{sys.maxsize}"),
+        ("charpoly", f"0^{sys.maxsize} 1"),
+        ("info", f"0 1^{sys.maxsize}")])
+    def test_block_count_too_large_to_expand(self, argv):
+        # fits an index, but a list of sys.maxsize bits is refused at once
+        code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
         assert err.splitlines() == [err.rstrip("\n")]
@@ -331,3 +347,19 @@ class TestContract:
     def test_version_flag(self):
         code, _, _ = run_cli("--version")
         assert code == 0
+
+    def test_module_entry_point(self):
+        # `python -m threshold_spectra.cli` runs the command line
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                          else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "threshold_spectra.cli", "energy", "01",
+             "--precision", "0"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
+        assert proc.stderr.startswith("error:")

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, ldexp
 
 import pytest
 
@@ -23,6 +23,7 @@ from threshold_spectra.roots import (
 from threshold_spectra.sequences import (
     adjacency_matrix,
     block_counts,
+    enumerate_connected,
     nth_connected,
     parse_sequence,
     to_blocks,
@@ -477,12 +478,40 @@ def refine_evaluations(monkeypatch):
 
 
 class TestFloatGuess:
-    """Refinement guesses the target cell in floats and certifies it by
-    exact signs; it must give what bisection gives, on every route."""
+    """Refinement's first grid point may come from a float guess, and exact
+    signs certify the cell; it must give what bisection gives, on every
+    route."""
 
     @pytest.mark.parametrize("route", ["sturm", "above"])
     def test_same_enclosures_as_bisection(self, route):
         for p in linear_quadratic_products(random.Random(1411), 25):
+            above = sturm_above(p) if route == "above" else None
+            for width in FLOAT_WIDTHS:
+                assert (isolate_real_roots(p, width, above)
+                        == bisected_roots(p, width, above))
+
+    @pytest.mark.parametrize("route", ["sturm", "above"])
+    @pytest.mark.parametrize("guess", ["zero", "one", "seeded", "low",
+                                       "high"])
+    def test_wrong_guesses_give_bisection_cells(self, monkeypatch, route,
+                                               guess):
+        # far guesses miss, halve and go on with plain QIR; guesses a cell
+        # and a half off the root take the walk to the next cell
+        rng, real = random.Random(1606), roots._float_position
+
+        def wrong(poly, a, b, sign_a, depth):
+            if guess in ("zero", "one"):
+                return float(guess == "one")
+            if guess == "seeded":
+                return rng.random()
+            t = real(poly, a, b, sign_a, depth)
+            shift = ldexp(1.5 if guess == "high" else -1.5, -depth)
+            return min(max(t + shift, 0.0), 1.0)
+
+        monkeypatch.setattr(roots, "_float_position", wrong)
+        polys = (linear_quadratic_products(random.Random(1411), 25)
+                 + [p for p, _ in DYADIC])
+        for p in polys:
             above = sturm_above(p) if route == "above" else None
             for width in FLOAT_WIDTHS:
                 assert (isolate_real_roots(p, width, above)
@@ -543,6 +572,15 @@ class TestFloatGuess:
         for counts, rest in rests[1:]:
             spectra._energy_from_parts(rest, counts, precision)
         assert len(per_call) == 130 and sum(per_call) <= 4 * len(per_call)
+
+    def test_two_evaluations_per_root_at_hunt_orders(self, monkeypatch):
+        # the guessed grid point and its neighbour certify every root of
+        # every connected graph with n <= 12
+        per_call = refine_evaluations(monkeypatch)
+        for n in range(2, 13):
+            for bits in enumerate_connected(n):
+                spectra.energy(bits, Fraction(1, 10 ** 10))
+        assert per_call and max(per_call) <= 2
 
 
 class TestSturm:
