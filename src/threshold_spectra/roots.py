@@ -2,24 +2,30 @@
 
 Roots are isolated by bisection steered by root counts and then refined
 by quadratic interval refinement (QIR) to the cell that bisection would
-reach.  Every enclosure is decided in exact arithmetic: where floats
-resolve the target cell, regula falsi in floats only picks QIR's first
-grid point, and exact signs certify every cell.
+reach.  Every enclosure is decided in exact arithmetic: floats only
+propose where a root lies, and exact signs certify every cell.
 Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
 the square-free factors of p, so multiple roots carry their
 multiplicity.  For graph energy only the positive roots are wanted and
 the caller can count them faster than Sturm can: given a root counter
-`above`, isolation searches only (0, bound) and splits on its counts,
-with no Sturm chain and no square-free decomposition.  Every enclosure
-is certified by exact signs: p has opposite signs at its two endpoints,
-which is checked for every isolating interval whichever counter split
-it.  Isolation is one pass of bisection: a midpoint that lands exactly
-on a root is divided out of the polynomial in place, as often as it
-divides, and the split goes on with the same counter, so the root is
-reported as one point enclosure with that multiplicity.  All interval
+`above`, isolation searches only (0, bound), with no Sturm chain and no
+square-free decomposition.  That route tries floats first: one float
+pass finds every positive root, each goes to its cell of the dyadic
+grid on which refinement would end, and exact signs at the cell ends
+and one count, at 0, certify the cells, so neither bisection nor
+refinement has anything left to do (`_float_cells`).  Where floats
+cannot tell, as for targets too deep for them, the route splits (0,
+bound) on the counter's counts instead.  Every enclosure is certified
+by exact signs: p has opposite signs at its two endpoints, which is
+checked for every isolating interval whichever route made it.
+Bisection is one pass: a midpoint that lands exactly on a root is
+divided out of the polynomial in place, as often as it divides, and the
+split goes on with the same counter, so the root is reported as one
+point enclosure with that multiplicity.  Where floats resolve the target
+cell, regula falsi in floats picks QIR's first grid point.  All interval
 endpoints are dyadic rationals by construction, and refinement never
-goes deeper than the target width needs, so it ends on the same dyadic
-cell as plain bisection whichever route it takes.
+goes deeper than the target width needs, so every route ends on the
+same dyadic cell as plain bisection.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isfinite, ldexp
+from math import gcd, isfinite, ldexp, sqrt
+from sys import float_info
 from typing import Callable, Optional, Union
 
 from .intpoly import (
@@ -135,14 +142,21 @@ def _pow2_root_bound(p: Poly) -> int:
     return m
 
 
-# Floats pick refinement's first grid point only when its cells are at
-# least about 2^-_FLOAT_BITS of the magnitude of the interval's ends,
-# leaving nine of the 53 mantissa bits for rounding in evaluation.
+# Floats place a root on the target grid, or pick refinement's first grid
+# point, only when its cells are at least about 2^-_FLOAT_BITS of the
+# magnitude of the root or of the interval's ends, leaving nine of the 53
+# mantissa bits for rounding in evaluation.
 _FLOAT_BITS = 44
-# Most float steps one guess may take; no root of the energies of the
-# seeded block forms of tools/compare_outputs.py (14 to 40 blocks) needs
-# more than 35 at 1e-10.
+# Most float steps one guess, or one Laguerre run of `_float_roots`, may
+# take; no root of the energies of the seeded block forms of
+# tools/compare_outputs.py (14 to 40 blocks) needs more than 35 guess
+# steps at 1e-10, and no Laguerre run on them more than 10.
 _FLOAT_STEPS = 64
+# A Laguerre run ends after a step below this fraction of x.
+_FLOAT_SETTLED = 1e-10
+# Most cells `_float_cells` walks past a float root's nearest grid point
+# and its neighbour before it leaves the polynomial to bisection.
+_FLOAT_WALK = 8
 
 
 class _Enclosure:
@@ -366,6 +380,76 @@ def _float_position(poly: Poly, a: float, b: float, sign_a: int,
     return min(max((x - a0) / span, 0.0), 1.0)
 
 
+def _float_roots(p: Poly, limit: float) -> Optional[list[float]]:
+    """The positive roots of p in descending order, found in floats by
+    Laguerre's method with Maehly's implicit deflation (Stoer & Bulirsch,
+    Introduction to Numerical Analysis, 5.5); None if floats cannot tell
+    or a root is not below `limit`.
+
+    The first run starts at Fujiwara's bound on the magnitude of every
+    root.  Each later run starts 1e-3 relative below the root found last
+    and iterates on p divided by the roots found so far, which enter only
+    as the terms 1/(x - z) and 1/(x - z)^2 of the logarithmic derivatives.
+    Those terms cancel against p'/p and p''/p, whose rounding grows as x
+    nears a root, so a start closer than about 1e-3 loses the second
+    derivative to rounding and the step jumps past the next root; a start
+    further down may pass a root instead, which the count then shows.  On
+    a real-rooted p every run descends to the next root without passing
+    it.  A run ends after a step below `_FLOAT_SETTLED` of x, beyond which
+    Laguerre's cubic convergence leaves only rounding, or when its steps
+    stop shrinking, as they do where rounding dominates sooner.  The pass
+    ends when a run steps to 0 or below, one step past the smallest
+    positive root.  A run that does not settle within `_FLOAT_STEPS`
+    steps, an infinite or undefined value, coefficients beyond float
+    range, or a root not below the previous one return None.
+    """
+    try:
+        lead, *rest = [float(c) for c in reversed(p)]
+        ratios = [abs(c / lead) for c in rest]
+        ratios[-1] *= 0.5
+        x = 2.0 * max(r ** (1.0 / k) for k, r in enumerate(ratios, 1))
+        found: list[float] = []
+        m = len(ratios)  # degree of p divided by the roots found
+        while m:
+            last = float("inf")
+            for _ in range(_FLOAT_STEPS):
+                f, df, half_ddf = lead, 0.0, 0.0
+                for c in rest:
+                    half_ddf = half_ddf * x + df
+                    df = df * x + f
+                    f = f * x + c
+                if f == 0:
+                    break
+                g = df / f
+                h = g * g - 2.0 * half_ddf / f
+                for z in found:
+                    d = 1.0 / (x - z)
+                    g -= d
+                    h -= d * d
+                spread = sqrt(max((m - 1) * (m * h - g * g), 0.0))
+                step = m / (g + spread if g >= 0 else g - spread)
+                if not isfinite(step):
+                    return None
+                if not abs(step) < last:
+                    break
+                last = abs(step)
+                x -= step
+                if x <= 0:
+                    return found
+                if last < x * _FLOAT_SETTLED:
+                    break
+            else:
+                return None
+            if not x < (found[-1] if found else limit):
+                return None
+            found.append(x)
+            m -= 1
+            x *= 1 - 1e-3
+        return found
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def _separation_exponent(g: Poly) -> int:
     """m with 2^-m below the Mahler-Mignotte bound on the distance between
     two roots of g, if g is square-free: sqrt(3) |disc|^(1/2)
@@ -438,6 +522,119 @@ def _subdivide(g: Poly, above: Optional[RootCounter]
     return exact, g, found
 
 
+def _float_cells(g: Poly, count: int, width: Fraction
+                 ) -> Optional[tuple[list[tuple[int, int, int]], Poly,
+                                     list[tuple[int, int, int, int, int]]]]:
+    """Isolate the `count` positive roots of g, which must not vanish at
+    0, on the dyadic grid that cuts (0, bound) into the cells where
+    refinement to `width` ends, from the roots `_float_roots` finds;
+    None where floats cannot tell.
+
+    Returns what `_subdivide` returns, each isolating cell with the
+    values of the reduced polynomial at its ends: (lo, hi, den, v_lo,
+    v_hi).  The grid is the one bisection and refinement step through:
+    with bound = 2^b, its cells are 2^s wide, s the largest integer with
+    2^s <= width and s <= b.  Each float root goes to the grid point
+    nearest it.  A grid point where the polynomial is 0 is a root,
+    divided out as often as it divides.  Otherwise the exact sign there,
+    against the sign the polynomial has just above the root (that of its
+    leading coefficient, times -1 for every cell found above), tells on
+    which side the root lies, and the neighbour on that side is
+    evaluated; where the two signs agree the walk goes on that way, at
+    most `_FLOAT_WALK` cells further.
+
+    The cells are certified, not trusted.  Each has opposite exact signs
+    of the reduced polynomial at its ends, so it holds an odd number of
+    its roots; no two cells coincide; and the number of cells plus the
+    multiplicities of the exact roots equals `count`.  So every cell
+    holds exactly one root, a simple one, and no positive root is left
+    out.  Why this is what bisection gives: every root is then a grid
+    point or alone in the interior of its cell.  A piece of bisection
+    that holds two roots, a grid root among them, is split at that grid
+    point or at a coarser one on the way, so the grid root is hit as a
+    midpoint and divided out; and a piece holding one root stops
+    bisection, no deeper than the grid.  Refinement then ends on the
+    grid cell of the root, or on the root itself where it is a grid
+    point, and returns at once on a cell already that narrow.  So the
+    enclosures are those of `_subdivide` followed by refinement, number
+    for number.
+
+    Returns None, for bisection to take over, where floats cannot tell:
+    a bound beyond float range, a float pass that returns None or other
+    than `count` roots, a root at or beyond `bound` or not positive, a
+    root whose cell is narrower than 2^-_FLOAT_BITS of it (every root of
+    a target too deep for floats), a walk that runs out or leaves [0,
+    bound], cells that coincide, or a total other than `count`.
+    """
+    wn, wd = width.numerator, width.denominator
+    # s = floor(log2(width)), then at most log2(bound): cells are 2^s wide
+    s = wn.bit_length() - wd.bit_length()
+    if wd << max(s, 0) > wn << max(-s, 0):
+        s -= 1
+    # no float pass where Cauchy's bound |g(0)| / (|g(0)| + max |g_i|)
+    # puts every root at 2^(s + _FLOAT_BITS) or above: deep targets
+    least = abs(g[0]).bit_length() - 1 - (
+        abs(g[0]) + max(map(abs, g[1:]))).bit_length()
+    if least >= s + _FLOAT_BITS:
+        return None
+    bits = _pow2_root_bound(g).bit_length() - 1
+    if bits >= float_info.max_exp:
+        return None
+    s = min(s, bits)
+    top, den, step = 1 << (bits - s), 1 << max(-s, 0), 1 << max(s, 0)
+    # roots in (0, bound) whose cells are at least 2^-_FLOAT_BITS of them
+    limit = ldexp(1.0, min(s + _FLOAT_BITS, bits))
+    roots = _float_roots(g, limit)
+    if roots is None or len(roots) != count:
+        return None
+    lead_positive = g[-1] > 0
+    exact: list[tuple[int, int, int]] = []
+    cells: list[list[int]] = []
+    taken: set[int] = set()
+    stale = 0  # cells before this index hold values of an earlier g
+    for r in roots:
+        if not 0 < r < limit:
+            return None
+        x = round(ldexp(r, -s))
+        # the sign of g just above the root: one sign change per cell above
+        above_positive = lead_positive == (len(cells) % 2 == 0)
+        u = value_at(g, x * step, den)
+        down = (u > 0) == above_positive
+        for _ in range(_FLOAT_WALK + 1):
+            if u == 0:
+                break
+            y = x - 1 if down else x + 1
+            if not 0 <= y <= top:
+                return None
+            v = value_at(g, y * step, den)
+            if v != 0 and (v > 0) != (u > 0):
+                break
+            x, u = y, v
+        else:
+            return None
+        if u == 0:
+            common = gcd(x * step, den)
+            num, root_den = x * step // common, den // common
+            k = 0
+            while (reduced := divide_exact(g, (-num, root_den))) is not None:
+                g, k = reduced, k + 1
+            exact.append((num, root_den, k))
+            stale = len(cells)
+            continue
+        lo = min(x, y)
+        if lo in taken:
+            return None
+        taken.add(lo)
+        cells.append([lo, v, u] if down else [lo, u, v])
+    if len(cells) + sum(k for _, _, k in exact) != count:
+        return None
+    for cell in cells[:stale]:
+        cell[1] = value_at(g, cell[0] * step, den)
+        cell[2] = value_at(g, (cell[0] + 1) * step, den)
+    return exact, g, [(lo * step, (lo + 1) * step, den, v_lo, v_hi)
+                      for lo, v_lo, v_hi in cells]
+
+
 def _separate(encs: list[_Enclosure]) -> None:
     """Refine until the closed enclosures are pairwise strictly disjoint,
     and leave them sorted by (lo, hi): the last round sorts and halves
@@ -481,25 +678,45 @@ def isolate_real_roots(p: Poly, width: Rational,
     multiplicities come from an exact square-free decomposition and
     every square-free factor is isolated with its Sturm chain.  With
     `above`, where above(num, den) must be the number of roots of p above
-    num/den >= 0 with multiplicity, the search splits (0, bound) on those
-    counts alone: no Sturm chain, no square-free decomposition and no
-    visit to the negative half-line.  Either way the count of enclosures
-    weighted by multiplicity equals the number of real (with `above`,
-    positive) roots of p.
+    num/den >= 0 with multiplicity, only (0, bound) is searched: no Sturm
+    chain, no square-free decomposition and no visit to the negative
+    half-line.  Either way the count of enclosures weighted by
+    multiplicity equals the number of real (with `above`, positive) roots
+    of p.
 
-    Two guards keep a count that is wrong from giving a wrong answer or
-    none: every isolating interval must show opposite exact signs of p at
-    its endpoints, and a piece still counting two or more roots below the
-    Mahler-Mignotte separation bound stops the split; both raise
-    ArithmeticError.  A root at 0 is stripped first and, without `above`,
-    reported as a point.  Each factor is then isolated in one pass of
-    `_subdivide`: a dyadic midpoint that is a root is divided out of the
-    factor in place, as often as it divides, and reported as a point with
-    that multiplicity, while the split goes on; the left half next to it
-    takes count(mid) + k as its upper count, so the k divided copies are
-    never counted again.  A non-dyadic multiple root makes the `above`
-    route raise.  A zero polynomial, or coefficients that end in a zero,
-    raise ValueError.
+    A root at 0 is stripped first and, without `above`, reported as a
+    point.  With `above`, floats come first (`_float_cells`): a float
+    pass finds the positive roots, and each goes to its cell of the
+    dyadic grid on (0, bound) whose cells are the widest that fit
+    `width`, where refinement ends.  Exact signs certify every cell, the
+    cells must be distinct, and their number plus the multiplicities of
+    the grid points found to be roots must equal above(0, 1), the only
+    count taken.  So each cell holds exactly one root and no other root
+    of p, which bisection would isolate no deeper than the grid and
+    refinement would end on the same cell: the enclosures are those of
+    the bisection route, number for number.  Where floats cannot tell,
+    and for every target whose cells are narrower than 2^-_FLOAT_BITS of
+    a root, the factor goes to bisection instead, unchanged.  Bisection
+    (`_subdivide`) splits on the Sturm counts or on the counts of
+    `above`: a dyadic midpoint that is a root is divided out of the
+    factor in place, as often as it divides, and reported as a point
+    with that multiplicity, while the split goes on; the left half next
+    to it takes count(mid) + k as its upper count, so the k divided
+    copies are never counted again.  A non-dyadic multiple root makes
+    the `above` route raise.
+
+    Three guards stop a wrong count of `above` with ArithmeticError: a
+    piece counted to hold one root whose endpoints show no sign change
+    of p; a piece still counted to hold two or more roots when it is
+    narrower than the Mahler-Mignotte separation bound; and, when
+    neither fires, a count at 0 whose parity disagrees with the signs of
+    p at 0 and at infinity, since sign p(0) = sign(lead) (-1)^N for N
+    positive roots.  The float route asks no count but the one at 0 and
+    takes bisection when the float pass finds a different number of
+    roots.  Counts that are wrong by an even number at 0 and consistent
+    elsewhere, such as a counter answering 0 for a polynomial with two
+    positive roots, are not caught: they leave roots out.  A zero
+    polynomial, or coefficients that end in a zero, raise ValueError.
     """
     if not p or not p[-1]:
         raise ValueError("need a nonzero polynomial with a nonzero leading "
@@ -517,12 +734,24 @@ def isolate_real_roots(p: Poly, width: Rational,
         factor = factor[zeros:]
         if len(factor) < 2:
             continue
-        exact, reduced, intervals = _subdivide(factor, above)
+        isolated, miscounted = None, False
+        if above is not None:
+            count = above(0, 1)
+            # p(0) != 0 has the sign of lead * (-1)^N for N positive roots
+            changes = (factor[0] > 0) != (factor[-1] > 0)
+            miscounted = count % 2 != changes
+            if not miscounted:
+                isolated = _float_cells(factor, count, w)
+        if isolated is None:
+            exact, reduced, intervals = _subdivide(factor, above)
+            cells = [(lo, hi, den, value_at(reduced, lo, den),
+                      value_at(reduced, hi, den))
+                     for lo, hi, den in intervals]
+        else:
+            exact, reduced, cells = isolated
         for num, den, times in exact:
             encs.append(_Enclosure(None, num, num, den, 0, mult * times))
-        for lo, hi, den in intervals:
-            v_lo = value_at(reduced, lo, den)
-            v_hi = value_at(reduced, hi, den)
+        for lo, hi, den, v_lo, v_hi in cells:
             if not (v_lo > 0 > v_hi or v_lo < 0 < v_hi):
                 raise ArithmeticError(
                     "isolating interval without a sign change of the "
@@ -531,5 +760,10 @@ def isolate_real_roots(p: Poly, width: Rational,
                              mult)
             enc.refine_to(w, v_lo, v_hi)
             encs.append(enc)
+        if miscounted:
+            raise ArithmeticError(
+                f"{count} positive roots counted, but the polynomial has "
+                f"{'a' if changes else 'no'} sign change between 0 and "
+                "infinity")
     _separate(encs)
     return [RootEnclosure(e.lo, e.hi, e.mult) for e in encs]

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from math import isqrt, ldexp
 
 import pytest
@@ -564,23 +565,255 @@ class TestFloatGuess:
         per_call = refine_evaluations(monkeypatch)
         counts, rest = rests[0]
         spectra._energy_from_parts(rest, counts, precision)
-        # (01)^13: 13 positive roots, 2 or 3 evaluations each
+        # (01)^13: 13 positive roots, one `refine_to` call each; a cell
+        # from the float route is already the target cell and takes none
         assert len(per_call) == 13 and max(per_call) <= 4
-        # a badly conditioned root may miss the guessed cell and fall
-        # back to QIR, but the mean stays at most 4
+        # a form the float route leaves to bisection is refined from its
+        # isolating intervals, where a badly conditioned root may miss the
+        # guessed cell and fall back to QIR, but the mean stays at most 4;
+        # TestFloatRoute counts isolation's evaluations too
         del per_call[:]
         for counts, rest in rests[1:]:
             spectra._energy_from_parts(rest, counts, precision)
         assert len(per_call) == 130 and sum(per_call) <= 4 * len(per_call)
 
     def test_two_evaluations_per_root_at_hunt_orders(self, monkeypatch):
-        # the guessed grid point and its neighbour certify every root of
-        # every connected graph with n <= 12
+        # refinement's share only: the float route certifies every root of
+        # every connected graph with n <= 12 on the target grid, so
+        # `refine_to` returns at once; TestFloatRoute counts the rest
         per_call = refine_evaluations(monkeypatch)
         for n in range(2, 13):
             for bits in enumerate_connected(n):
                 spectra.energy(bits, Fraction(1, 10 ** 10))
         assert per_call and max(per_call) <= 2
+
+
+def energy_parts(form):
+    """(block counts, `rest`) of a connected sequence or block expression."""
+    blocks = to_blocks(parse_sequence(form) if isinstance(form, str)
+                       else form)
+    return block_counts(blocks), spectra._nontrivial_parts(blocks)[2]
+
+
+def energy_roots(counts, rest, precision):
+    """The energy route's enclosures of the positive roots of `rest`."""
+    return isolate_real_roots(rest, precision / len(counts),
+                              partial(spectra._roots_above, counts))
+
+
+def exact_route(monkeypatch):
+    """Send every polynomial past the float route, to bisection."""
+    monkeypatch.setattr(roots, "_float_roots", lambda p, limit: None)
+
+
+REAL_FLOAT_ROOTS = roots._float_roots
+
+
+def count_bisections(monkeypatch):
+    """Calls of `_subdivide` on the `above` route, in a one-item list."""
+    calls, real = [0], roots._subdivide
+
+    def counted(g, above):
+        calls[0] += above is not None
+        return real(g, above)
+
+    monkeypatch.setattr(roots, "_subdivide", counted)
+    return calls
+
+
+def seeded_block_forms(blocks, count):
+    """`count` connected block forms with `blocks` blocks of 1-3 vertices."""
+    rng = random.Random(1717)
+    return [" ".join(f"{j % 2}^{rng.randint(1, 3)}" for j in range(blocks))
+            for _ in range(count)]
+
+
+def cell_width(p, width):
+    """Width of the target grid's cells on (0, bound) for p and `width`:
+    the largest power of two at most `width` and at most the bound."""
+    cell = Fraction(roots._pow2_root_bound(p))
+    while cell > width:
+        cell /= 2
+    return cell
+
+
+class TestFloatRoute:
+    """The `above` route isolates its roots from one float pass, certified
+    on the target grid; it must give the enclosures of the exact route,
+    and it must be taken where floats resolve the target."""
+
+    @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 10),
+                                           Fraction(1)])
+    def test_connected_graphs_up_to_twelve(self, monkeypatch, precision):
+        parts = [energy_parts(bits) for n in range(2, 13)
+                 for bits in enumerate_connected(n)]
+        bisections = count_bisections(monkeypatch)
+        floats = [energy_roots(counts, rest, precision)
+                  for counts, rest in parts]
+        if precision < 1:
+            assert bisections[0] == 0  # the float route took every graph
+        exact_route(monkeypatch)
+        bisections[0] = 0
+        assert floats == [energy_roots(counts, rest, precision)
+                          for counts, rest in parts]
+        assert bisections[0] == len(parts)
+
+    @pytest.mark.parametrize("blocks", [14, 26, 40])
+    def test_seeded_block_forms(self, monkeypatch, blocks):
+        precision = Fraction(1, 10 ** 10)
+        parts = [energy_parts(form)
+                 for form in seeded_block_forms(blocks, 10)]
+        floats = [energy_roots(counts, rest, precision)
+                  for counts, rest in parts]
+        exact_route(monkeypatch)
+        assert floats == [energy_roots(counts, rest, precision)
+                          for counts, rest in parts]
+
+    def test_sturm_counted_polynomials(self, monkeypatch):
+        polys = (linear_quadratic_products(random.Random(1411), 25)
+                 + [p for p, _ in DYADIC])
+        cases = [(p, width, sturm_above(p)) for p in polys
+                 for width in FLOAT_WIDTHS]
+        floats = [isolate_real_roots(p, width, above)
+                  for p, width, above in cases]
+        exact_route(monkeypatch)
+        assert floats == [isolate_real_roots(p, width, above)
+                          for p, width, above in cases]
+
+    def test_deep_targets_take_bisection(self, monkeypatch):
+        bisections = count_bisections(monkeypatch)
+        forms = (["(0^3 1^2 0^1 1^4 0^2 1^3 0^5 1^1)"]
+                 + seeded_block_forms(8, 5))
+        for form in forms:
+            counts, rest = energy_parts(form)
+            energy_roots(counts, rest, Fraction(1, 10 ** 50))
+        assert bisections[0] == len(forms)
+
+    @pytest.mark.parametrize("wrong", ["shift 1", "shift 3", "shift 20",
+                                       "duplicated", "dropped", "negated",
+                                       "nan"])
+    def test_wrong_float_roots_give_bisection_enclosures(self, monkeypatch,
+                                                         wrong):
+        # each case either walks to the right cells or falls back; a wrong
+        # enclosure would differ from bisection's
+        width_of = {}
+
+        def wrong_roots(p, limit):
+            found = REAL_FLOAT_ROOTS(p, limit)
+            if not found:
+                return found
+            if wrong.startswith("shift"):
+                cell = float(cell_width(p, width_of["width"]))
+                k = int(wrong.split()[1])
+                return [r + (k if i % 2 else -k) * cell
+                        for i, r in enumerate(found)]
+            i = len(found) // 2
+            if wrong == "duplicated":
+                return found[:i + 1] + found[i:-1]
+            if wrong == "dropped":
+                return found[:i] + found[i + 1:]
+            if wrong == "negated":
+                return found[:i] + [-found[i]] + found[i + 1:]
+            return found[:i] + [float("nan")] + found[i + 1:]
+
+        monkeypatch.setattr(roots, "_float_roots", wrong_roots)
+        bisections = count_bisections(monkeypatch)
+        cases = [(p, width, sturm_above(p))
+                 for p in (linear_quadratic_products(random.Random(1411), 25)
+                           + [p for p, _ in DYADIC])
+                 for width in FLOAT_WIDTHS]
+        cases += [(rest, Fraction(1, 10 ** 10) / len(counts),
+                   partial(spectra._roots_above, counts))
+                  for counts, rest in map(energy_parts,
+                                          enumerate_connected(9))]
+        for p, width, above in cases:
+            width_of["width"] = width
+            assert (isolate_real_roots(p, width, above)
+                    == bisected_roots(p, width, above))
+        if wrong in ("shift 1", "shift 3"):
+            assert bisections[0] < len(cases) // 2  # the walk certifies
+        else:
+            assert bisections[0] > len(cases) // 2
+
+    def test_cells_are_those_of_the_reduced_polynomial(self):
+        # exact roots divided out as often as they divide, and each cell
+        # with the values at its ends of what is left, also when a root is
+        # divided out after cells above it were certified
+        taken = 0
+        for p in linear_quadratic_products(random.Random(1411), 25):
+            p = p[next(j for j, c in enumerate(p) if c):]
+            for width in FLOAT_WIDTHS:
+                cells = roots._float_cells(p, sturm_above(p)(0, 1), width)
+                if cells is None:
+                    continue
+                taken += 1
+                exact, reduced, intervals = cells
+                divided = reduced
+                for num, den, k in exact:
+                    divided = mul(divided, poly_pow((-num, den), k))
+                assert divided == p
+                for lo, hi, den, v_lo, v_hi in intervals:
+                    assert Fraction(hi - lo, den) == cell_width(p, width)
+                    assert v_lo == value_at(reduced, lo, den)
+                    assert v_hi == value_at(reduced, hi, den)
+        assert taken > 200
+
+    def test_a_cell_found_twice_is_refused(self, monkeypatch):
+        # the third float root repeats the first; with three roots its
+        # parity lets the walk certify the first cell again
+        p = mul(mul((-2, 0, 1), (-5, 0, 1)), (-10, 0, 1))
+        monkeypatch.setattr(roots, "_float_roots", lambda g, limit: [
+            10 ** 0.5, 5 ** 0.5, 10 ** 0.5])
+        assert roots._float_cells(p, 3, Fraction(1, 10 ** 6)) is None
+        assert (isolate_real_roots(p, Fraction(1, 10 ** 6), sturm_above(p))
+                == bisected_roots(p, Fraction(1, 10 ** 6), sturm_above(p)))
+
+    def test_total_must_match_the_count(self, monkeypatch):
+        # a count two short, met by float roots that miss sqrt(2): the
+        # double root 3 and sqrt(7) make three, not two
+        p = mul(mul(poly_pow((-3, 1), 2), (-2, 0, 1)), (-7, 0, 1))
+        monkeypatch.setattr(roots, "_float_roots",
+                            lambda g, limit: [3.0, 7 ** 0.5])
+        assert roots._float_cells(p, 2, Fraction(1, 10 ** 6)) is None
+
+    @pytest.mark.parametrize("float_pass", ["real", "none", "agrees"])
+    def test_zero_count_raises(self, monkeypatch, float_pass):
+        # x^2 - 2 changes sign on (0, infinity): no even count can be right
+        if float_pass != "real":
+            monkeypatch.setattr(roots, "_float_roots",
+                                lambda p, limit: None if float_pass == "none"
+                                else [])
+        with pytest.raises(ArithmeticError,
+                           match="0 positive roots counted, but the "
+                                 "polynomial has a sign change"):
+            isolate_real_roots((-2, 0, 1), Fraction(1, 100),
+                               above=lambda num, den: 0)
+
+    def test_exact_work_per_root(self, monkeypatch):
+        # every exact evaluation and every count, in isolation and in
+        # refinement alike, on every connected graph with n <= 12
+        evaluations, counts_taken = [0], [0]
+        real_value_at, real_above = roots.value_at, spectra._roots_above
+
+        def counted_value_at(p, num, den):
+            evaluations[0] += 1
+            return real_value_at(p, num, den)
+
+        def counted_above(counts, num, den):
+            counts_taken[0] += 1
+            return real_above(counts, num, den)
+
+        monkeypatch.setattr(roots, "value_at", counted_value_at)
+        monkeypatch.setattr(spectra, "_roots_above", counted_above)
+        graphs = positive = 0
+        for n in range(2, 13):
+            for bits in enumerate_connected(n):
+                counts, rest = energy_parts(bits)
+                energy_roots(counts, rest, Fraction(1, 10 ** 10))
+                graphs += 1
+                positive += len(counts) // 2
+        assert counts_taken[0] == graphs
+        assert evaluations[0] <= 3 * positive
 
 
 class TestSturm:

@@ -12,7 +12,11 @@ gates:
 
   energy-info  `energy --json` and `info --json` for every connected
                creation sequence with n <= 12, at 1e-12 and 1e-60
-  info-coarse  `info --json` for the same sequences at 1 and 0.5
+  info-coarse  `info --json` for the same sequences at 1 and 0.5, and
+               `energy --json` for every connected sequence with n <= 11
+               at 3, 16 and 1000: target cells of one vertex unit and
+               wider, where isolation alone can decide the output and
+               integer roots fall off the target grid
   hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file,
                and `hunt --n 12 --jobs 2 --json --csv`, whose records
                come from forked worker processes on a host with two or
@@ -82,6 +86,10 @@ def gates() -> list[tuple[str, list[str]]]:
     for precision in ("1", "0.5"):
         for seq in sequences:
             queries.append(("info-coarse", ["info", seq, "--precision",
+                                            precision, "--json"]))
+    for precision in ("3", "16", "1000"):
+        for seq in connected_sequences(11):
+            queries.append(("info-coarse", ["energy", seq, "--precision",
                                             precision, "--json"]))
     for n in range(2, 15):
         queries.append(("hunt", ["hunt", "--n", str(n), "--jobs", "1",
