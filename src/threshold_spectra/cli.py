@@ -213,21 +213,19 @@ def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _write_hunt_csv(path: str, result: hunt.HuntResult) -> None:
-    class_of = {}
-    for class_id, cls in enumerate(result.classes):
-        for bits, _ in cls.members:
-            class_of[bits] = class_id
+    """One row per sequence in enumeration order, each record rebuilt as
+    it is written."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sequence", "energy_lo", "energy_hi", "char_poly",
                          "class_id"])
-        for rec in result.records:
+        for rec, class_id in zip(result.iter_records(), result.class_ids):
             writer.writerow([
                 format_sequence(rec.bits),
                 decimal_lower(rec.energy_lo),
                 decimal_upper(rec.energy_hi),
                 str(to_coeff_list(rec.char_poly)),
-                class_of[rec.bits],
+                class_id,
             ])
 
 

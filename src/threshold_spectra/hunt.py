@@ -9,16 +9,28 @@ claim is exact, and the equal-energy half is certified to the working
 precision only.  An exact shared-factor check of the pairs whose
 nontrivial factors differ only by integer linear terms feeds the
 `noncospectral_pairs_exactly_equal` statistic alone.
+
+The scan keeps integers only: per graph, the numerators of its enclosure's
+endpoints over one power-of-two denominator and its class id, with the
+graph's index in the enumeration as its position.  Grouping sorts and
+merges on those numerators.  Only the members of classes with two or more
+members get their sequence and characteristic polynomial back, rebuilt
+from their index; `HuntResult.records` and `HuntResult.classes` rebuild
+every record and class on each access.  Cospectral graphs share the
+factor `rest` and the block count, so they get identical enclosures and
+fall into one class: a single-member class holds a polynomial that no
+other graph has, which is what `distinct_char_polys` counts on.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .families import exact_energy_equal
 from .intpoly import Poly
@@ -56,12 +68,23 @@ class EnergyClass:
 
 @dataclass(frozen=True)
 class HuntResult:
-    """One full scan of order n: every connected sequence in enumeration
-    order, the complete energy partition and the scan's statistics."""
+    """One full scan of order n: the energy enclosure and class id of every
+    connected sequence, in enumeration order, the classes of two or more
+    members, the borderenergetic candidates and the scan's statistics.
+
+    The enclosure of the sequence with index k is [lo[k], hi[k]] / 2^shift.
+    """
 
     n: int
-    records: tuple[SequenceRecord, ...]
-    classes: tuple[EnergyClass, ...]
+    shift: int
+    lo: list[int] = field(repr=False)
+    hi: list[int] = field(repr=False)
+    class_ids: array = field(repr=False)
+    # the classes of two or more members, in ascending order
+    multi_member: tuple[EnergyClass, ...]
+    # sequences whose enclosure contains 2n - 2, except the complete graph
+    # itself: containment is necessary, not sufficient, so candidates
+    borderenergetic: tuple[Bits, ...]
     stats: dict
 
     @property
@@ -71,18 +94,32 @@ class HuntResult:
         Membership means energy-equal within the working precision; spectra
         are compared exactly.
         """
-        return tuple(c for c in self.classes if len(c.char_polys) >= 2)
+        return tuple(c for c in self.multi_member if len(c.char_polys) >= 2)
+
+    def iter_records(self) -> Iterator[SequenceRecord]:
+        """Every sequence's record in enumeration order, each rebuilt from
+        its index as it is reached."""
+        den = 1 << self.shift
+        for idx, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            bits, poly = _member(self.n, idx)
+            yield SequenceRecord(bits, poly, Fraction(lo, den),
+                                 Fraction(hi, den))
 
     @property
-    def borderenergetic(self) -> tuple[Bits, ...]:
-        """Sequences whose energy enclosure contains 2n - 2, except the
-        complete graph itself.  Containment is necessary, not sufficient:
-        candidates."""
-        target = Fraction(2 * self.n - 2)
-        complete = (0,) + (1,) * (self.n - 1)
-        return tuple(rec.bits for rec in self.records
-                     if rec.energy_lo <= target <= rec.energy_hi
-                     and rec.bits != complete)
+    def records(self) -> tuple[SequenceRecord, ...]:
+        """One record per connected sequence, rebuilt on each access."""
+        return tuple(self.iter_records())
+
+    @property
+    def classes(self) -> tuple[EnergyClass, ...]:
+        """The complete energy partition in ascending order, rebuilt on each
+        access."""
+        runs: list[list[int]] = [[] for _ in range(
+            max(self.class_ids, default=-1) + 1)]
+        for idx, class_id in enumerate(self.class_ids):
+            runs[class_id].append(idx)
+        return tuple(_energy_class(self.n, self.shift, self.lo, self.hi, run)
+                     for run in runs)
 
 
 def _resolve_jobs(processes: Optional[int]) -> int:
@@ -105,22 +142,32 @@ def _check_order(n: int, allow_large: bool) -> None:
         )
 
 
-def _scan_range(args: tuple[int, int, int, Fraction]) -> list[SequenceRecord]:
-    """Records for one contiguous slice of the enumeration (worker-safe)."""
+Packed = tuple[int, list[int], list[int]]
+
+
+def _scan_range(args: tuple[int, int, int, Fraction]) -> Packed:
+    """Energy enclosures of one contiguous slice of the enumeration
+    (worker-safe): (shift, lo, hi), the endpoints' numerators over
+    2^shift in enumeration order.  Every endpoint is dyadic; when one
+    needs a finer denominator, the numerators so far are shifted up."""
     n, start, stop, precision = args
-    out = []
+    shift, los, his = 0, [], []
     for idx in range(start, stop):
-        bits = nth_connected(n, idx)
-        blocks = to_blocks(bits)
-        m0, m1, rest = _nontrivial_parts(blocks)
+        blocks = to_blocks(nth_connected(n, idx))
+        _, _, rest = _nontrivial_parts(blocks)
         lo, hi = _energy_from_parts(rest, block_counts(blocks), precision)
-        out.append(SequenceRecord(bits, _char_poly_from_parts(m0, m1, rest),
-                                  lo, hi))
-    return out
+        need = max(lo.denominator, hi.denominator).bit_length() - 1
+        if need > shift:
+            los = [v << (need - shift) for v in los]
+            his = [v << (need - shift) for v in his]
+            shift = need
+        los.append(lo.numerator << (shift + 1 - lo.denominator.bit_length()))
+        his.append(hi.numerator << (shift + 1 - hi.denominator.bit_length()))
+    return shift, los, his
 
 
 def _scan(n: int, precision: Fraction, processes: Optional[int],
-          allow_large: bool) -> list[SequenceRecord]:
+          allow_large: bool) -> Packed:
     _check_order(n, allow_large)
     total = 1 << (n - 2)
     jobs = _resolve_jobs(processes)
@@ -129,58 +176,81 @@ def _scan(n: int, precision: Fraction, processes: Optional[int],
     step = -(-total // jobs)
     chunks = [(n, k, min(k + step, total), precision)
               for k in range(0, total, step)]
-    # Pool.map returns the chunks' results in input order, so the records
-    # stay in enumeration order.
+    # Pool.map returns the chunks' results in input order, so the
+    # numerators stay in enumeration order.
     with get_context("fork").Pool(len(chunks)) as pool:
         parts = pool.map(_scan_range, chunks)
-    return [rec for part in parts for rec in part]
+    shift = max(part[0] for part in parts)
+    return (shift,
+            [v << (shift - s) for s, los, _ in parts for v in los],
+            [v << (shift - s) for s, _, his in parts for v in his])
 
 
-def _group(records: tuple[SequenceRecord, ...]) -> tuple[EnergyClass, ...]:
-    """The energy classes in ascending order: the maximal runs of the
-    records sorted by lower endpoint in which each interval starts no later
-    than the furthest upper endpoint before it.  Every endpoint is dyadic,
-    so the sort and merge run on numerators scaled to the largest
-    denominator, ties broken by upper endpoint and then by sequence."""
-    top = max((end.denominator for rec in records
-               for end in (rec.energy_lo, rec.energy_hi)), default=1)
+def _group(lo: list[int], hi: list[int]) -> tuple[array, list[list[int]]]:
+    """The energy classes as (class id of every index, the runs of two or
+    more members as ascending index lists), numbered in ascending order.
 
-    def scaled(end: Fraction) -> int:
-        return end.numerator * (top // end.denominator)
-
-    runs: list[list[SequenceRecord]] = []
-    reach = 0
-    for lo, hi, _, _, rec in sorted(
-            (scaled(r.energy_lo), scaled(r.energy_hi), r.bits, k, r)
-            for k, r in enumerate(records)):
-        if runs and lo <= reach:
-            runs[-1].append(rec)
-            reach = max(reach, hi)
+    A class is a maximal run of the intervals sorted by lower endpoint in
+    which each interval starts no later than the furthest upper endpoint
+    before it.  Ties in the lower endpoint break by index, which is the
+    order of the sequences, though the runs do not depend on it: an
+    interval that starts where an earlier one starts always joins it.
+    Each run starts above every upper endpoint of the runs before it, so
+    the ids ascend with energy."""
+    class_ids = array("L", [0]) * len(lo)
+    multi: list[list[int]] = []
+    run: list[int] = []
+    reach = class_id = -1
+    for idx in sorted(range(len(lo)), key=lo.__getitem__):
+        if run and lo[idx] <= reach:
+            run.append(idx)
+            reach = max(reach, hi[idx])
         else:
-            runs.append([rec])
-            reach = hi
-    # Each run starts above every upper endpoint of the runs before it,
-    # so the classes come out sorted by energy.
-    return tuple(
-        EnergyClass(energy_lo=run[0].energy_lo,
-                    energy_hi=max(rec.energy_hi for rec in run),
-                    members=tuple(sorted((rec.bits, rec.char_poly)
-                                         for rec in run)))
-        for run in runs)
+            if len(run) > 1:
+                multi.append(sorted(run))
+            run, reach, class_id = [idx], hi[idx], class_id + 1
+        class_ids[idx] = class_id
+    if len(run) > 1:
+        multi.append(sorted(run))
+    return class_ids, multi
+
+
+def _member(n: int, idx: int) -> tuple[Bits, Poly]:
+    """The idx-th connected sequence of order n and its characteristic
+    polynomial."""
+    bits = nth_connected(n, idx)
+    return bits, _char_poly_from_parts(*_nontrivial_parts(to_blocks(bits)))
+
+
+def _energy_class(n: int, shift: int, lo: list[int], hi: list[int],
+                  members: list[int]) -> EnergyClass:
+    """The class of these ascending indices, its members rebuilt."""
+    den = 1 << shift
+    return EnergyClass(energy_lo=Fraction(min(lo[k] for k in members), den),
+                       energy_hi=Fraction(max(hi[k] for k in members), den),
+                       members=tuple(_member(n, k) for k in members))
 
 
 def full_scan(n: int, precision: Rational, processes: Optional[int] = None,
               allow_large: bool = False) -> HuntResult:
-    """Scan every connected sequence of order n: per-sequence records, the
-    complete energy partition and its statistics."""
+    """Scan every connected sequence of order n: per-sequence enclosures,
+    the complete energy partition and its statistics."""
     prec = Fraction(precision)
     if prec <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
     started = time.perf_counter()
-    records = tuple(_scan(n, prec, processes, allow_large))
-    classes = _group(records)
+    shift, lo, hi = _scan(n, prec, processes, allow_large)
+    class_ids, runs = _group(lo, hi)
+    multi = tuple(_energy_class(n, shift, lo, hi, run) for run in runs)
+    target = (2 * n - 2) << shift
+    complete = len(lo) - 1
+    border = tuple(nth_connected(n, idx)
+                   for idx, (a, b) in enumerate(zip(lo, hi))
+                   if a <= target <= b and idx != complete)
     stats: dict = {}
-    result = HuntResult(n=n, records=records, classes=classes, stats=stats)
+    result = HuntResult(n=n, shift=shift, lo=lo, hi=hi, class_ids=class_ids,
+                        multi_member=multi, borderenergetic=border,
+                        stats=stats)
     interesting = result.equienergetic
     exact_pairs = 0
     for cls in interesting:
@@ -190,12 +260,14 @@ def full_scan(n: int, precision: Rational, processes: Optional[int] = None,
                                                            to_blocks(bits_b)):
                     exact_pairs += 1
     stats.update({
-        "graphs": len(records),
-        "distinct_char_polys": len({rec.char_poly for rec in records}),
-        "classes_total": len(classes),
+        "graphs": len(lo),
+        # cospectral graphs share a class, so only shared classes repeat
+        "distinct_char_polys": len(lo) - sum(
+            len(cls.members) - len(cls.char_polys) for cls in multi),
+        "classes_total": max(class_ids, default=-1) + 1,
         "equienergetic_classes": len(interesting),
         "noncospectral_pairs_exactly_equal": exact_pairs,
-        "borderenergetic_candidates": len(result.borderenergetic),
+        "borderenergetic_candidates": len(border),
         "elapsed_seconds": round(time.perf_counter() - started, 3),
     })
     return result

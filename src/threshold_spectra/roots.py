@@ -459,11 +459,14 @@ def _separation_exponent(g: Poly) -> int:
     return ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
 
 
-def _subdivide(g: Poly, above: Optional[RootCounter]
+def _subdivide(g: Poly, above: Optional[RootCounter],
+               c_zero: Optional[int]
                ) -> tuple[list[tuple[int, int, int]], Poly,
                           list[tuple[int, int, int]]]:
     """Isolate the roots of g on (0, bound), and on (-bound, 0) without
-    `above`, in one pass of bisection; g must not vanish at 0.
+    `above`, in one pass of bisection; g must not vanish at 0.  `c_zero`
+    is the count of `above` at 0 when the caller has taken it already,
+    and None to take it here.
 
     Returns (exact roots (num, den, k), g with each of them divided out k
     times, isolating intervals (lo, hi, den) each holding exactly one root
@@ -487,7 +490,8 @@ def _subdivide(g: Poly, above: Optional[RootCounter]
     count = (above if above is not None
              else partial(_variations, sturm_chain(g)))
     bound = _pow2_root_bound(g)
-    c_zero = count(0, 1)
+    if c_zero is None:
+        c_zero = count(0, 1)
     stack = [(0, bound, 1, c_zero, count(bound, 1))]
     if above is None:
         # popped last: the positive half is searched first in both modes
@@ -734,7 +738,7 @@ def isolate_real_roots(p: Poly, width: Rational,
         factor = factor[zeros:]
         if len(factor) < 2:
             continue
-        isolated, miscounted = None, False
+        isolated, miscounted, count = None, False, None
         if above is not None:
             count = above(0, 1)
             # p(0) != 0 has the sign of lead * (-1)^N for N positive roots
@@ -743,7 +747,7 @@ def isolate_real_roots(p: Poly, width: Rational,
             if not miscounted:
                 isolated = _float_cells(factor, count, w)
         if isolated is None:
-            exact, reduced, intervals = _subdivide(factor, above)
+            exact, reduced, intervals = _subdivide(factor, above, count)
             cells = [(lo, hi, den, value_at(reduced, lo, den),
                       value_at(reduced, hi, den))
                      for lo, hi, den in intervals]

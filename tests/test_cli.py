@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from threshold_spectra import cli, hunt, spectra
-from threshold_spectra.sequences import adjacency_matrix, parse_sequence
+from threshold_spectra.sequences import (adjacency_matrix, enumerate_connected,
+                                         format_sequence, parse_sequence)
 
 
 def run_cli(*argv):
@@ -262,6 +264,25 @@ class TestHunt:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sequence,energy_lo,energy_hi,char_poly,class_id"
         assert len(lines) == 1 + 16
+
+    def test_csv_rows_follow_the_enumeration_with_class_ids(self, tmp_path):
+        # at 0.5 the 16 graphs of order 6 fall into fewer, shared classes
+        path = tmp_path / "rows.csv"
+        code, _, _ = run_json("hunt", "--n", "6", "--precision", "0.5",
+                              "--csv", str(path))
+        assert code == 0
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        result = hunt.full_scan(6, Fraction(1, 2))
+        class_of = {bits: k for k, cls in enumerate(result.classes)
+                    for bits, _ in cls.members}
+        assert len(class_of) == 16 > len(result.classes)
+        assert [row[0] for row in rows] == [
+            format_sequence(bits) for bits in enumerate_connected(6)]
+        assert [row[3] for row in rows] == [
+            str(list(rec.char_poly)) for rec in result.records]
+        assert [int(row[4]) for row in rows] == [
+            class_of[bits] for bits in enumerate_connected(6)]
 
     def test_unwritable_csv_fails_before_the_scan(self, tmp_path,
                                                   monkeypatch):

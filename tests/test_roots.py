@@ -219,7 +219,7 @@ def check_subdivision(p, above, exact_roots):
     """_subdivide on p returns exactly `exact_roots` as (num, den, k),
     divides each out k times, and isolates every other root of p in an
     interval with a sign change, on the half-lines the route searches."""
-    exact, reduced, intervals = roots._subdivide(p, above)
+    exact, reduced, intervals = roots._subdivide(p, above, None)
     assert sorted(exact) == sorted(exact_roots)
     divided = reduced
     for num, den, k in exact:
@@ -406,7 +406,7 @@ class TestRefinement:
     def test_certified_and_not_overshot(self, width):
         for p in MIGNOTTE + random_square_free(random.Random(99), 30):
             for factor, _ in square_free_decomposition(p):
-                _, reduced, intervals = roots._subdivide(factor, None)
+                _, reduced, intervals = roots._subdivide(factor, None, None)
                 for lo, hi, den in intervals:
                     enc = roots._Enclosure(reduced, lo, hi, den,
                                            sign_at(reduced, lo, den), 1)
@@ -520,7 +520,7 @@ class TestFloatGuess:
 
     def test_integer_root_inside_a_cell_is_a_point(self):
         p = mul((-5, 1), (-2, 0, 1))
-        _, _, intervals = roots._subdivide(p, None)
+        _, _, intervals = roots._subdivide(p, None, None)
         # 5 is no midpoint of the split: isolation ends on (4, 8]
         assert (Fraction(4), Fraction(8)) in [
             (Fraction(lo, den), Fraction(hi, den))
@@ -613,9 +613,9 @@ def count_bisections(monkeypatch):
     """Calls of `_subdivide` on the `above` route, in a one-item list."""
     calls, real = [0], roots._subdivide
 
-    def counted(g, above):
+    def counted(g, above, c_zero):
         calls[0] += above is not None
-        return real(g, above)
+        return real(g, above, c_zero)
 
     monkeypatch.setattr(roots, "_subdivide", counted)
     return calls

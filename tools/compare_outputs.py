@@ -18,9 +18,11 @@ gates:
                wider, where isolation alone can decide the output and
                integer roots fall off the target grid
   hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file,
-               and `hunt --n 12 --jobs 2 --json --csv`, whose records
+               `hunt --n 12 --jobs 2 --json --csv`, whose enclosures
                come from forked worker processes on a host with two or
-               more CPUs
+               more CPUs, and `hunt --n 12 --precision 1e-2 --jobs 1
+               --json --csv`, where 823 of the 1,024 graphs share a
+               class, so most members and class ids are rebuilt
   family       `family four|six --i 1..20 --verify --json`
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
@@ -96,6 +98,8 @@ def gates() -> list[tuple[str, list[str]]]:
                                  "--json", "--csv", CSV_NAME]))
     queries.append(("hunt", ["hunt", "--n", "12", "--jobs", "2", "--json",
                              "--csv", CSV_NAME]))
+    queries.append(("hunt", ["hunt", "--n", "12", "--precision", "1e-2",
+                             "--jobs", "1", "--json", "--csv", CSV_NAME]))
     for family in ("four", "six"):
         for i in range(1, 21):
             queries.append(("family", ["family", family, "--i", str(i),
