@@ -96,7 +96,15 @@ def shared_quartic(i: int) -> Poly:
 
 
 def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
-    """Fully expanded closed form for one member ('G' or \"G'\")."""
+    """Fully expanded closed form for one member ('G' or \"G'\"):
+    x^a (x+1)^y (x + shift) times the shared cubic (four-block) or quartic
+    (six-block) factor.
+
+    (x+1)^y is written down as its binomial row C(y, 0), ..., C(y, y),
+    and (x + shift) multiplies it in one pass.  The engine's `char_poly`
+    builds the same numbers another way, from the block formula and
+    `poly_pow`, so comparing the two checks both.
+    """
     if i < 1:
         raise ValueError(f"family parameter must be >= 1, got {i}")
     if member not in ("G", "G'"):
@@ -114,8 +122,11 @@ def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
             x_exp, y_exp, shift = 3 * i, 6 * i, 2 * i + 2
         else:
             x_exp, y_exp, shift = 3 * i - 1, 6 * i + 1, 2 * i + 1
-    expanded = mul(mul(poly_pow((1, 1), y_exp), (shift, 1)), core)
-    return mul_xk(expanded, x_exp)
+    row = [math.comb(y_exp, k) for k in range(y_exp + 1)]
+    # (x + 1)^y (x + shift)
+    linear = ([shift] + [shift * b + a for a, b in zip(row, row[1:])]
+              + [1])
+    return mul_xk(mul(tuple(linear), core), x_exp)
 
 
 def _strip_integer_roots(p: Poly) -> tuple[int, Poly]:

@@ -3,13 +3,19 @@ interpolation-based characteristic polynomial.
 
 This path never touches the block-sequence formula machinery, so it can
 cross-check it: det(xI - A) is sampled at the integer points 0..n and
-recovered by Newton divided differences, which are exact here because the
-result is known to have integer coefficients.
+recovered by Newton divided differences, in integers only.  On the
+consecutive points 0, 1, 2, ... level j of the divided-difference table
+holds Delta^j p(k) / j!, where p is the polynomial of least degree
+through the points.  That is an integer at every integer k whenever p has
+integer coefficients: p is then an integer combination of the falling
+factorials x(x-1)...(x-i+1), whose j-th forward difference is i!/(i-j)!
+= j! C(i, j) times a falling factorial.  So every level is an exact
+division by j, and a nonzero remainder anywhere proves that p has a
+non-integer coefficient; for det(xI - A), whose coefficients are
+integers, it would prove a wrong determinant.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .intpoly import Poly, normalize
 
@@ -69,27 +75,27 @@ def charpoly(adjacency: list[list[int]]) -> Poly:
 
 
 def _interpolate_at_integers(values: list[int]) -> Poly:
-    """Polynomial through the points (0, v0), (1, v1), ... as exact integers."""
+    """Polynomial through the points (0, v0), (1, v1), ... as exact integers.
+
+    Raises ArithmeticError where that polynomial has a non-integer
+    coefficient, which a nonzero remainder of some level's division
+    shows.
+    """
     m = len(values)
-    dd = [Fraction(v) for v in values]
+    dd = list(values)
     for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / j
-    coeffs = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for i in range(m):
-        for k, b in enumerate(basis):
-            coeffs[k] += dd[i] * b
-        if i + 1 < m:
-            # basis *= (x - i)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                nxt[k] -= b * i
-                nxt[k + 1] += b
-            basis = nxt
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation produced a non-integer coefficient")
-        out.append(int(c))
-    return normalize(out)
+        prev = dd[j - 1]
+        for i in range(j, m):
+            cur = dd[i]
+            dd[i], r = divmod(cur - prev, j)
+            if r:
+                raise ArithmeticError(
+                    "interpolation produced a non-integer coefficient")
+            prev = cur
+    # Newton form to monomials: coeffs = coeffs * (x - i) + dd[i]
+    coeffs = [dd[-1]]
+    for i in range(m - 2, -1, -1):
+        coeffs = ([dd[i] - i * coeffs[0]]
+                  + [a - i * b for a, b in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    return normalize(coeffs)

@@ -380,36 +380,46 @@ def _float_position(poly: Poly, a: float, b: float, sign_a: int,
     return min(max((x - a0) / span, 0.0), 1.0)
 
 
-def _float_roots(p: Poly, limit: float) -> Optional[list[float]]:
+def _fujiwara_bound(p: Poly) -> float:
+    """Fujiwara's bound on the magnitude of every root of p, in floats:
+    twice the largest |a_(d-k) / a_d|^(1/k), the term of a_0 halved.
+    Raises OverflowError for coefficients beyond float range."""
+    lead, *rest = [float(c) for c in reversed(p)]
+    ratios = [abs(c / lead) for c in rest]
+    ratios[-1] *= 0.5
+    return 2.0 * max(r ** (1.0 / k) for k, r in enumerate(ratios, 1))
+
+
+def _float_roots(p: Poly, start: float, limit: float
+                 ) -> Optional[list[float]]:
     """The positive roots of p in descending order, found in floats by
     Laguerre's method with Maehly's implicit deflation (Stoer & Bulirsch,
     Introduction to Numerical Analysis, 5.5); None if floats cannot tell
     or a root is not below `limit`.
 
-    The first run starts at Fujiwara's bound on the magnitude of every
-    root.  Each later run starts 1e-3 relative below the root found last
-    and iterates on p divided by the roots found so far, which enter only
-    as the terms 1/(x - z) and 1/(x - z)^2 of the logarithmic derivatives.
-    Those terms cancel against p'/p and p''/p, whose rounding grows as x
-    nears a root, so a start closer than about 1e-3 loses the second
-    derivative to rounding and the step jumps past the next root; a start
-    further down may pass a root instead, which the count then shows.  On
-    a real-rooted p every run descends to the next root without passing
-    it.  A run ends after a step below `_FLOAT_SETTLED` of x, beyond which
-    Laguerre's cubic convergence leaves only rounding, or when its steps
-    stop shrinking, as they do where rounding dominates sooner.  The pass
-    ends when a run steps to 0 or below, one step past the smallest
-    positive root.  A run that does not settle within `_FLOAT_STEPS`
-    steps, an infinite or undefined value, coefficients beyond float
-    range, or a root not below the previous one return None.
+    The first run starts at `start`, Fujiwara's bound on the magnitude of
+    every root (`_fujiwara_bound`).  Each later run starts 1e-3 relative
+    below the root found last and iterates on p divided by the roots found
+    so far, which enter only as the terms 1/(x - z) and 1/(x - z)^2 of
+    the logarithmic derivatives.  Those terms cancel against p'/p and
+    p''/p, whose rounding grows as x nears a root, so a start closer than
+    about 1e-3 loses the second derivative to rounding and the step jumps
+    past the next root; a start further down may pass a root instead,
+    which the count then shows.  On a real-rooted p every run descends to
+    the next root without passing it.  A run ends after a step below
+    `_FLOAT_SETTLED` of x, beyond which Laguerre's cubic convergence
+    leaves only rounding, or when its steps stop shrinking, as they do
+    where rounding dominates sooner.  The pass ends when a run steps to 0
+    or below, one step past the smallest positive root.  A run that does
+    not settle within `_FLOAT_STEPS` steps, an infinite or undefined
+    value, coefficients beyond float range, or a root not below the
+    previous one return None.
     """
     try:
         lead, *rest = [float(c) for c in reversed(p)]
-        ratios = [abs(c / lead) for c in rest]
-        ratios[-1] *= 0.5
-        x = 2.0 * max(r ** (1.0 / k) for k, r in enumerate(ratios, 1))
+        x = start
         found: list[float] = []
-        m = len(ratios)  # degree of p divided by the roots found
+        m = len(rest)  # degree of p divided by the roots found
         while m:
             last = float("inf")
             for _ in range(_FLOAT_STEPS):
@@ -526,13 +536,14 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     return exact, g, found
 
 
-def _float_cells(g: Poly, count: int, width: Fraction
+def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
                  ) -> Optional[tuple[list[tuple[int, int, int]], Poly,
                                      list[tuple[int, int, int, int, int]]]]:
     """Isolate the `count` positive roots of g, which must not vanish at
     0, on the dyadic grid that cuts (0, bound) into the cells where
     refinement to `width` ends, from the roots `_float_roots` finds;
-    None where floats cannot tell.
+    None where floats cannot tell.  `above` counts the roots of g above a
+    point, as in `isolate_real_roots`.
 
     Returns what `_subdivide` returns, each isolating cell with the
     values of the reduced polynomial at its ends: (lo, hi, den, v_lo,
@@ -564,11 +575,14 @@ def _float_cells(g: Poly, count: int, width: Fraction
     for number.
 
     Returns None, for bisection to take over, where floats cannot tell:
-    a bound beyond float range, a float pass that returns None or other
-    than `count` roots, a root at or beyond `bound` or not positive, a
-    root whose cell is narrower than 2^-_FLOAT_BITS of it (every root of
-    a target too deep for floats), a walk that runs out or leaves [0,
-    bound], cells that coincide, or a total other than `count`.
+    a bound beyond float range, a root above the float pass's limit
+    (where Fujiwara's bound reaches a limit below the bound, one count at
+    the limit decides before any float step), a float pass that returns
+    None or other than `count` roots, a root at or beyond `bound` or not
+    positive, a root whose cell is narrower than 2^-_FLOAT_BITS of it
+    (every root of a target too deep for floats), a walk that runs out or
+    leaves [0, bound], cells that coincide, or a total other than
+    `count`.
     """
     wn, wd = width.numerator, width.denominator
     # s = floor(log2(width)), then at most log2(bound): cells are 2^s wide
@@ -587,8 +601,17 @@ def _float_cells(g: Poly, count: int, width: Fraction
     s = min(s, bits)
     top, den, step = 1 << (bits - s), 1 << max(-s, 0), 1 << max(s, 0)
     # roots in (0, bound) whose cells are at least 2^-_FLOAT_BITS of them
-    limit = ldexp(1.0, min(s + _FLOAT_BITS, bits))
-    roots = _float_roots(g, limit)
+    e = min(s + _FLOAT_BITS, bits)
+    limit = ldexp(1.0, e)
+    try:
+        start = _fujiwara_bound(g)
+    except OverflowError:
+        return None
+    # no root reaches the bound, so only a lower limit needs the count
+    if (e < bits and start >= limit
+            and above(1 << max(e, 0), 1 << max(-e, 0))):
+        return None
+    roots = _float_roots(g, start, limit)
     if roots is None or len(roots) != count:
         return None
     lead_positive = g[-1] > 0
@@ -745,7 +768,7 @@ def isolate_real_roots(p: Poly, width: Rational,
             changes = (factor[0] > 0) != (factor[-1] > 0)
             miscounted = count % 2 != changes
             if not miscounted:
-                isolated = _float_cells(factor, count, w)
+                isolated = _float_cells(factor, count, w, above)
         if isolated is None:
             exact, reduced, intervals = _subdivide(factor, above, count)
             cells = [(lo, hi, den, value_at(reduced, lo, den),

@@ -66,13 +66,29 @@ class TestClosedForms:
         for i in (1, 2, 7, 20):
             assert shared_cubic(i)[0] == 12 * i ** 3 + 18 * i ** 2 + 6 * i
 
-    def test_matches_engine_small(self):
+    def test_matches_engine(self):
         for fam in FamilyId:
-            for i in (1, 2, 3):
+            for i in range(1, 41):
                 pair = family_pair(fam, i)
                 assert char_poly(pair.g) == closed_form_char_poly(fam, i, "G")
                 assert char_poly(pair.g_prime) == closed_form_char_poly(
                     fam, i, "G'")
+
+    @pytest.mark.parametrize("i", [1, 7, 40])
+    def test_matches_power_expansion(self, i):
+        # x^a (x+1)^y (x + shift) core, with (x+1)^y from poly_pow
+        forms = {
+            (FamilyId.FOUR_BLOCK, "G"): (4 * i, 5 * i + 1, 2 * i + 1),
+            (FamilyId.FOUR_BLOCK, "G'"): (4 * i + 1, 5 * i, 2 * i + 2),
+            (FamilyId.SIX_BLOCK, "G"): (3 * i - 1, 6 * i + 1, 2 * i + 1),
+            (FamilyId.SIX_BLOCK, "G'"): (3 * i, 6 * i, 2 * i + 2),
+        }
+        for (fam, member), (a, y, shift) in forms.items():
+            core = (shared_cubic(i) if fam is FamilyId.FOUR_BLOCK
+                    else shared_quartic(i))
+            expected = mul_xk(
+                mul(mul(poly_pow((1, 1), y), (shift, 1)), core), a)
+            assert closed_form_char_poly(fam, i, member) == expected
 
     def test_member_validation(self):
         with pytest.raises(ValueError):

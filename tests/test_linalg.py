@@ -3,9 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from threshold_spectra.intpoly import divide_exact, evaluate, poly_pow
-from threshold_spectra.linalg import bareiss_determinant, charpoly
-from threshold_spectra.sequences import adjacency_matrix, parse_sequence
+from threshold_spectra.intpoly import (
+    divide_exact,
+    evaluate,
+    normalize,
+    poly_pow,
+)
+from threshold_spectra.linalg import (
+    _interpolate_at_integers,
+    bareiss_determinant,
+    charpoly,
+)
+from threshold_spectra.sequences import (
+    adjacency_matrix,
+    enumerate_connected,
+    parse_sequence,
+)
 
 
 def fraction_det(matrix):
@@ -28,6 +41,74 @@ def fraction_det(matrix):
                 a[i][j] -= factor * a[k][j]
     assert det.denominator == 1
     return int(det)
+
+
+def fraction_interpolate(values):
+    """Reference interpolation: Newton divided differences over Q on the
+    points 0, 1, 2, ..., expanded to monomials in Fractions."""
+    m = len(values)
+    dd = [Fraction(v) for v in values]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / j
+    coeffs = [Fraction(0)] * m
+    basis = [Fraction(1)]
+    for i in range(m):
+        for k, b in enumerate(basis):
+            coeffs[k] += dd[i] * b
+        if i + 1 < m:
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, b in enumerate(basis):
+                nxt[k] -= b * i
+                nxt[k + 1] += b
+            basis = nxt
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("non-integer coefficient")
+    return normalize(int(c) for c in coeffs)
+
+
+def determinant_values(bits):
+    """det(tI - A) at t = 0..n for the threshold graph of `bits`."""
+    adj = adjacency_matrix(bits)
+    n = len(adj)
+    return [bareiss_determinant([[(t if i == j else 0) - adj[i][j]
+                                  for j in range(n)] for i in range(n)])
+            for t in range(n + 1)]
+
+
+class TestInterpolation:
+    def test_random_polynomials(self):
+        rng = random.Random(19681968)
+        for d in range(17):
+            for _ in range(6):
+                p = normalize(rng.randint(-(1 << 70), 1 << 70)
+                              for _ in range(d + 1))
+                points = d + 1 + rng.randint(0, 2)
+                values = [evaluate(p, t) for t in range(points)]
+                assert _interpolate_at_integers(values) == p
+                assert fraction_interpolate(values) == p
+
+    def test_determinant_values_of_connected_graphs(self):
+        for n in range(2, 10):
+            for bits in enumerate_connected(n):
+                values = determinant_values(bits)
+                got = _interpolate_at_integers(values)
+                assert got == fraction_interpolate(values)
+                assert len(got) == n + 1 and got[-1] == 1
+
+    @pytest.mark.parametrize("values", [[0, 0, 1], [0, 1, 3, 7],
+                                        [5, 0, 0, 0, 1]])
+    def test_non_integer_coefficients_raise(self, values):
+        # [0, 0, 1] is x(x-1)/2: integer-valued, with a non-integer
+        # coefficient
+        with pytest.raises(ArithmeticError):
+            fraction_interpolate(values)
+        with pytest.raises(ArithmeticError):
+            _interpolate_at_integers(values)
+
+    def test_one_point_is_a_constant(self):
+        assert _interpolate_at_integers([-7]) == (-7,)
+        assert _interpolate_at_integers([0]) == ()
 
 
 class TestDeterminant:

@@ -603,7 +603,8 @@ def energy_roots(counts, rest, precision):
 
 def exact_route(monkeypatch):
     """Send every polynomial past the float route, to bisection."""
-    monkeypatch.setattr(roots, "_float_roots", lambda p, limit: None)
+    monkeypatch.setattr(roots, "_float_roots",
+                        lambda p, start, limit: None)
 
 
 REAL_FLOAT_ROOTS = roots._float_roots
@@ -698,8 +699,8 @@ class TestFloatRoute:
         # enclosure would differ from bisection's
         width_of = {}
 
-        def wrong_roots(p, limit):
-            found = REAL_FLOAT_ROOTS(p, limit)
+        def wrong_roots(p, start, limit):
+            found = REAL_FLOAT_ROOTS(p, start, limit)
             if not found:
                 return found
             if wrong.startswith("shift"):
@@ -743,7 +744,8 @@ class TestFloatRoute:
         for p in linear_quadratic_products(random.Random(1411), 25):
             p = p[next(j for j, c in enumerate(p) if c):]
             for width in FLOAT_WIDTHS:
-                cells = roots._float_cells(p, sturm_above(p)(0, 1), width)
+                above = sturm_above(p)
+                cells = roots._float_cells(p, above(0, 1), width, above)
                 if cells is None:
                     continue
                 taken += 1
@@ -762,9 +764,10 @@ class TestFloatRoute:
         # the third float root repeats the first; with three roots its
         # parity lets the walk certify the first cell again
         p = mul(mul((-2, 0, 1), (-5, 0, 1)), (-10, 0, 1))
-        monkeypatch.setattr(roots, "_float_roots", lambda g, limit: [
+        monkeypatch.setattr(roots, "_float_roots", lambda g, start, limit: [
             10 ** 0.5, 5 ** 0.5, 10 ** 0.5])
-        assert roots._float_cells(p, 3, Fraction(1, 10 ** 6)) is None
+        assert roots._float_cells(p, 3, Fraction(1, 10 ** 6),
+                                  sturm_above(p)) is None
         assert (isolate_real_roots(p, Fraction(1, 10 ** 6), sturm_above(p))
                 == bisected_roots(p, Fraction(1, 10 ** 6), sturm_above(p)))
 
@@ -773,16 +776,44 @@ class TestFloatRoute:
         # double root 3 and sqrt(7) make three, not two
         p = mul(mul(poly_pow((-3, 1), 2), (-2, 0, 1)), (-7, 0, 1))
         monkeypatch.setattr(roots, "_float_roots",
-                            lambda g, limit: [3.0, 7 ** 0.5])
-        assert roots._float_cells(p, 2, Fraction(1, 10 ** 6)) is None
+                            lambda g, start, limit: [3.0, 7 ** 0.5])
+        assert roots._float_cells(p, 2, Fraction(1, 10 ** 6),
+                                  sturm_above(p)) is None
+
+    def test_a_root_above_the_limit_declines_before_the_float_pass(
+            self, monkeypatch):
+        # cells of 2^-40 leave floats the roots below 2^(44 - 40) = 16;
+        # Fujiwara's bound is 22 or more for both polynomials, so the
+        # count at 16 decides: the root 100 declines without a float
+        # step, while 1 and 10 go to the float pass
+        width = Fraction(1, 1 << 40)
+        passes = []
+
+        def recorded(p, start, limit):
+            passes.append((p, start, limit))
+            return REAL_FLOAT_ROOTS(p, start, limit)
+
+        monkeypatch.setattr(roots, "_float_roots", recorded)
+        far = mul((-100, 1), (-1, 1))
+        assert roots._fujiwara_bound(far) >= 16
+        assert roots._float_cells(far, 2, width, sturm_above(far)) is None
+        assert passes == []
+        assert (isolate_real_roots(far, width, sturm_above(far))
+                == bisected_roots(far, width, sturm_above(far)))
+        assert passes == []
+        near = mul((-10, 1), (-1, 1))
+        assert roots._fujiwara_bound(near) >= 16
+        assert roots._float_cells(near, 2, width,
+                                  sturm_above(near)) is not None
+        assert [limit for _, _, limit in passes] == [16.0]
 
     @pytest.mark.parametrize("float_pass", ["real", "none", "agrees"])
     def test_zero_count_raises(self, monkeypatch, float_pass):
         # x^2 - 2 changes sign on (0, infinity): no even count can be right
         if float_pass != "real":
             monkeypatch.setattr(roots, "_float_roots",
-                                lambda p, limit: None if float_pass == "none"
-                                else [])
+                                lambda p, start, limit:
+                                None if float_pass == "none" else [])
         with pytest.raises(ArithmeticError,
                            match="0 positive roots counted, but the "
                                  "polynomial has a sign change"):

@@ -24,6 +24,9 @@ gates:
                --json --csv`, where 823 of the 1,024 graphs share a
                class, so most members and class ids are rebuilt
   family       `family four|six --i 1..20 --verify --json`
+  oracle       `charpoly --oracle --json` for every connected sequence
+               with n <= 11: criterion 1's corpus, the block formula
+               against the determinant polynomial
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
                1-3 vertices
@@ -104,6 +107,8 @@ def gates() -> list[tuple[str, list[str]]]:
         for i in range(1, 21):
             queries.append(("family", ["family", family, "--i", str(i),
                                        "--verify", "--json"]))
+    for seq in connected_sequences(11):
+        queries.append(("oracle", ["charpoly", seq, "--oracle", "--json"]))
     forms = block_forms((14, 18, 24, 26, 32, 40), 25)
     for precision in ("1e-10", "1e-60"):
         for form in forms:
