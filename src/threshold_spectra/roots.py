@@ -3,7 +3,7 @@
 Roots are isolated by bisection steered by root counts and then refined
 by quadratic interval refinement (QIR) to the cell that bisection would
 reach.  Every enclosure is decided in exact arithmetic: floats only
-propose where a root lies, and exact signs certify every cell.
+propose roots for the energy route, and exact signs certify every cell.
 Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
 the square-free factors of p, so multiple roots carry their
 multiplicity.  For graph energy only the positive roots are wanted and
@@ -21,11 +21,10 @@ checked for every isolating interval whichever route made it.
 Bisection is one pass: a midpoint that lands exactly on a root is
 divided out of the polynomial in place, as often as it divides, and the
 split goes on with the same counter, so the root is reported as one
-point enclosure with that multiplicity.  Where floats resolve the target
-cell, regula falsi in floats picks QIR's first grid point.  All interval
-endpoints are dyadic rationals by construction, and refinement never
-goes deeper than the target width needs, so every route ends on the
-same dyadic cell as plain bisection.
+point enclosure with that multiplicity.  All interval endpoints are
+dyadic rationals by construction, and refinement never goes deeper than
+the target width needs, so every route ends on the same dyadic cell as
+plain bisection.
 """
 
 from __future__ import annotations
@@ -142,15 +141,13 @@ def _pow2_root_bound(p: Poly) -> int:
     return m
 
 
-# Floats place a root on the target grid, or pick refinement's first grid
-# point, only when its cells are at least about 2^-_FLOAT_BITS of the
-# magnitude of the root or of the interval's ends, leaving nine of the 53
-# mantissa bits for rounding in evaluation.
+# Floats place a root on the target grid only when its cells are at least
+# about 2^-_FLOAT_BITS of the magnitude of the root, leaving nine of the
+# 53 mantissa bits for rounding in evaluation.
 _FLOAT_BITS = 44
-# Most float steps one guess, or one Laguerre run of `_float_roots`, may
-# take; no root of the energies of the seeded block forms of
-# tools/compare_outputs.py (14 to 40 blocks) needs more than 35 guess
-# steps at 1e-10, and no Laguerre run on them more than 10.
+# Most steps one Laguerre run of `_float_roots` may take; no run on the
+# energies of the seeded block forms of tools/compare_outputs.py (14 to 40
+# blocks) at 1e-10 takes more than 8.
 _FLOAT_STEPS = 64
 # A Laguerre run ends after a step below this fraction of x.
 _FLOAT_SETTLED = 1e-10
@@ -208,8 +205,7 @@ class _Enclosure:
 
     def refine_to(self, width: Fraction, v_lo: int, v_hi: int) -> None:
         """Refine until the width is at most `width` by quadratic interval
-        refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011),
-        whose first grid point may come from floats.
+        refinement (QIR: Abbott 2006; Kerber & Sagraloff, ISSAC 2011).
 
         The result is the cell holding the root in the dyadic grid that
         cuts the starting interval into 2^D cells, D the first depth whose
@@ -222,17 +218,11 @@ class _Enclosure:
         sign of p there tells on which side of j the root lies; the cell
         next to j on that side is accepted only if p has opposite exact
         signs at its two endpoints, so every enclosure stays certified.
-        On success k doubles.  On failure k halves and one `halve` step
-        runs, so every step shrinks the enclosure by at least one
-        bisection step and the loop terminates.  A grid point where p is
-        0 is the root, and the enclosure becomes that point.
-
-        Where a depth-D cell is at least 2^-_FLOAT_BITS of the magnitude
-        of the interval's ends, as decided on integer bit lengths, the
-        first step instead takes k = D and j nearest the root that
-        `_float_position` finds in floats, and may walk one cell further
-        toward the root before it fails; an end of [lo, hi] always closes
-        the sign change.  A miss halves once and goes on with k = 2.
+        The first step takes k = 2.  On success k doubles.  On failure k
+        halves and one `halve` step runs, so every step shrinks the
+        enclosure by at least one bisection step and the loop terminates.
+        A grid point where p is 0 is the root, and the enclosure becomes
+        that point.
 
         No overshoot: k never exceeds the shift that brings the width to
         the target, so every QIR enclosure is a cell of the dyadic grid on
@@ -251,47 +241,29 @@ class _Enclosure:
             return
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
-        gap = hi - lo
-        k = ((gap * wd - 1) // (wn * den)).bit_length()
-        guess = None
-        if k + max(-lo, hi).bit_length() - gap.bit_length() <= _FLOAT_BITS:
-            try:
-                guess = _float_position(poly, lo / den, hi / den,
-                                        self.sign_lo, k)
-            except OverflowError:
-                pass
-        if guess is None:
-            k = 2
+        k = 2
         while (hi - lo) * wd > wn * den:
             gap = hi - lo
             k = min(k, ((gap * wd - 1) // (wn * den)).bit_length())
             n, shift = 1 << k, k * deg
-            if guess is None:
-                # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
-                diff = v_lo - v_hi
-                top = n * v_lo if diff > 0 else -n * v_lo
-                diff = abs(diff)
-                j = (2 * top + diff) // (2 * diff)
-            else:
-                j = round(guess * n)
+            # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
+            diff = v_lo - v_hi
+            top = n * v_lo if diff > 0 else -n * v_lo
+            diff = abs(diff)
+            j = (2 * top + diff) // (2 * diff)
             base, den2 = lo << k, den << k
-            y = base + min(max(j, 1), n - 1) * gap
-            u = value_at(poly, y, den2)
-            right = (u > 0) == positive_lo
-            # a guessed step may walk one cell further toward the root
-            for _ in range(1 if guess is None else 2):
-                if u == 0:
-                    break
-                x, v = y, u
-                y = x + gap if right else x - gap
-                if y == base:
-                    u = v_lo << shift
-                elif y == hi << k:
-                    u = v_hi << shift
-                else:
-                    u = value_at(poly, y, den2)
-                if ((u > 0) == positive_lo) != right:
-                    break
+            x = base + min(max(j, 1), n - 1) * gap
+            v = value_at(poly, x, den2)
+            right = (v > 0) == positive_lo
+            y = x + gap if right else x - gap
+            if v == 0:
+                y, u = x, 0
+            elif y == base:
+                u = v_lo << shift
+            elif y == hi << k:
+                u = v_hi << shift
+            else:
+                u = value_at(poly, y, den2)
             if u == 0:  # y is the root
                 self.lo_num = self.hi_num = y
                 self.den = den2
@@ -302,8 +274,7 @@ class _Enclosure:
                 den = den2
                 k <<= 1
                 continue
-            k = k >> 1 if guess is None else 2
-            guess = None
+            k >>= 1
             self.lo_num, self.hi_num, self.den = lo, hi, den
             v_mid = self.halve()
             if self.is_point:
@@ -314,70 +285,6 @@ class _Enclosure:
                 v_lo, v_hi = v_mid, v_hi << deg
             lo, hi, den = self.lo_num, self.hi_num, self.den
         self.lo_num, self.hi_num, self.den = lo, hi, den
-
-
-def _float_position(poly: Poly, a: float, b: float, sign_a: int,
-                    depth: int) -> Optional[float]:
-    """Where in [a, b] the one root of p lies, as a fraction t in [0, 1]
-    of the way from a to b, by Illinois regula falsi on the float
-    coefficients; None if floats cannot tell.
-
-    p has the exact sign `sign_a` at a and the opposite one at b.  An end
-    whose float value does not show its exact sign is within rounding of
-    the root, so that end is the guess.  Regula falsi crawls where p is
-    far from linear on the bracket, so every third step bisects instead
-    if the bracket has not halved since the last such check.  The steps
-    stop once the bracket is a quarter of a depth-`depth` cell wide, or
-    when a step no longer lands strictly inside it.  Coefficients beyond
-    float range raise OverflowError; an infinite or undefined value
-    returns None.
-    """
-    if not a < b:
-        return None
-    coeffs = [float(c) for c in reversed(poly)]
-    a0, span = a, b - a
-
-    def f(x: float) -> float:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-
-    fa, fb = f(a), f(b)
-    if not (isfinite(fa) and isfinite(fb)):
-        return None
-    if fa * sign_a <= 0:
-        return 0.0
-    if fb * sign_a >= 0:
-        return 1.0
-    goal = ldexp(span, -depth - 2)
-    x, side, mark = a, 0, span
-    for step in range(_FLOAT_STEPS):
-        x = a + (b - a) * (fa / (fa - fb))
-        if step % 3 == 2:
-            if b - a > 0.5 * mark:
-                x = 0.5 * (a + b)
-            mark = b - a
-        if not a < x < b:
-            break
-        fx = f(x)
-        if not isfinite(fx):
-            return None
-        if fx == 0:
-            break
-        if (fx > 0) == (fa > 0):
-            a, fa = x, fx
-            if side < 0:
-                fb *= 0.5  # b kept twice: the Illinois step
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa *= 0.5
-            side = 1
-        if b - a <= goal:
-            break
-    return min(max((x - a0) / span, 0.0), 1.0)
 
 
 def _fujiwara_bound(p: Poly) -> float:

@@ -32,8 +32,9 @@ gates:
                1-3 vertices
   float-edge   `energy --json` on the manyblocks forms at 1e-11 to 1e-16
                and `info --json` for the connected sequences with n <= 10
-               at 1e-12, 1e-13 and 1e-15: about where refinement turns
-               from the float guess to exact QIR, and past it
+               at 1e-12, 1e-13 and 1e-15: about where `_float_cells`
+               declines (`_FLOAT_BITS`) and bisection and QIR take
+               over, and past it
   selftest     `selftest --json`
   human        the human output, without `--json`, of `info`, `energy`
                and `charpoly --oracle` on 20 seeded sequences with
