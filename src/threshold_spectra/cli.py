@@ -3,23 +3,29 @@
 Exit codes: 0 success, 1 a verification or internal consistency check
 failed, 2 usage or input error.  Errors are reported as a single
 machine-parsable line on stderr.
+
+Each command imports the modules it runs inside its handler, so a fresh
+process that asks for one energy loads neither the family, hunt, oracle
+nor self-test code.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from . import __version__, acceptance, families, hunt, linalg, spectra
+from . import __version__, spectra
 from .intpoly import format_poly, to_coeff_list
 from .sequences import adjacency_matrix, edge_count, format_sequence, parse_sequence
 from .util import decimal_lower, decimal_upper, fraction_str, parse_exact_decimal
+
+if TYPE_CHECKING:
+    from .hunt import HuntResult
 
 DEFAULT_PRECISION = "1e-10"
 DEFAULT_TOL = "1e-9"
@@ -127,6 +133,7 @@ def _cmd_charpoly(args: argparse.Namespace) -> tuple[dict, int]:
         "char_poly_text": format_poly(formula),
     }
     if args.oracle:
+        from . import linalg
         oracle = linalg.charpoly(adjacency_matrix(bits))
         results["determinant_poly"] = to_coeff_list(oracle)
         results["determinant_poly_text"] = format_poly(oracle)
@@ -154,6 +161,7 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import families
     family = families.FamilyId(args.family)
     pair = families.family_pair(family, args.i)
     results = pair.to_record()
@@ -173,6 +181,7 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import hunt
     precision = _parse_precision(args.precision)
     if args.csv:
         # fail on an unwritable path before the scan, leaving a file as is
@@ -212,9 +221,10 @@ def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
     return results, 0
 
 
-def _write_hunt_csv(path: str, result: hunt.HuntResult) -> None:
+def _write_hunt_csv(path: str, result: HuntResult) -> None:
     """One row per sequence in enumeration order, each record rebuilt as
     it is written."""
+    import csv
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sequence", "energy_lo", "energy_hi", "char_poly",
@@ -230,6 +240,7 @@ def _write_hunt_csv(path: str, result: hunt.HuntResult) -> None:
 
 
 def _cmd_selftest(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
+    from . import acceptance
     if args.criteria is not None:
         try:
             numbers = sorted({int(part) for part in args.criteria.split(",") if part})

@@ -102,8 +102,9 @@ def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
 
     (x+1)^y is written down as its binomial row C(y, 0), ..., C(y, y),
     and (x + shift) multiplies it in one pass.  The engine's `char_poly`
-    builds the same numbers another way, from the block formula and
-    `poly_pow`, so comparing the two checks both.
+    builds the same numbers another way: `spectra._char_poly_from_parts`
+    multiplies the block formula's nontrivial factor by x + 1 once per
+    factor, one shift-add each, so comparing the two checks both.
     """
     if i < 1:
         raise ValueError(f"family parameter must be >= 1, got {i}")

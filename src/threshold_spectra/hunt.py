@@ -29,7 +29,6 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import get_context
 from typing import Iterator, Optional, Union
 
 from .families import exact_energy_equal
@@ -176,6 +175,7 @@ def _scan(n: int, precision: Fraction, processes: Optional[int],
     step = -(-total // jobs)
     chunks = [(n, k, min(k + step, total), precision)
               for k in range(0, total, step)]
+    from multiprocessing import get_context
     # Pool.map returns the chunks' results in input order, so the
     # numerators stay in enumeration order.
     with get_context("fork").Pool(len(chunks)) as pool:

@@ -1,5 +1,6 @@
 import functools
 import gc
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 
@@ -238,14 +239,16 @@ class _InProcessPool:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Worker pools run in-process; the list collects their sizes."""
+    """Worker pools run in-process; the list collects their sizes.  `hunt`
+    imports `get_context` when it opens a pool, so it finds this one."""
     sizes = []
 
     class Context:
         def Pool(self, size):
             return _InProcessPool(sizes, size)
 
-    monkeypatch.setattr(hunt, "get_context", lambda method: Context())
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: Context())
     return sizes
 
 
