@@ -22,9 +22,11 @@ Bisection is one pass: a midpoint that lands exactly on a root is
 divided out of the polynomial in place, as often as it divides, and the
 split goes on with the same counter, so the root is reported as one
 point enclosure with that multiplicity.  All interval endpoints are
-dyadic rationals by construction, and refinement never goes deeper than
-the target width needs, so every route ends on the same dyadic cell as
-plain bisection.
+dyadic rationals by construction: every denominator is a power of two,
+kept as one, so an exact evaluation shifts the coefficients in where it
+would multiply by powers of the denominator (`value_at`).  Refinement
+never goes deeper than the target width needs, so every route ends on
+the same dyadic cell as plain bisection.
 """
 
 from __future__ import annotations
@@ -75,23 +77,27 @@ class RootEnclosure:
 
 
 def value_at(p: Poly, num: int, den: int) -> int:
-    """p(num/den) * den**deg(p) for den > 0, by integer Horner steps.
+    """p(num/den) * den**deg(p) for den a power of two, by integer Horner
+    steps; any other den raises ValueError.
 
     The result is an integer with the sign of p(num/den); on one shared
-    denominator, values keep the ratios of the values of p.
+    denominator, values keep the ratios of the values of p.  With den =
+    2^s the sum of p_i num^i 2^(s (d - i)) is built by Horner on num alone,
+    each coefficient shifted in by its power of den, so no power of den is
+    ever multiplied.
     """
-    if not p:
-        return 0
-    acc = p[-1]
-    dp = 1
-    for i in range(len(p) - 2, -1, -1):
-        dp *= den
-        acc = acc * num + p[i] * dp
+    if den <= 0 or den & (den - 1):
+        raise ValueError(f"denominator must be a power of two, got {den}")
+    s = den.bit_length() - 1
+    acc = t = 0
+    for c in reversed(p):
+        acc = acc * num + (c << t)
+        t += s
     return acc
 
 
 def sign_at(p: Poly, num: int, den: int) -> int:
-    """Sign of p(num/den) for den > 0."""
+    """Sign of p(num/den) for den a power of two."""
     v = value_at(p, num, den)
     return (v > 0) - (v < 0)
 
@@ -135,10 +141,7 @@ def _pow2_root_bound(p: Poly) -> int:
     lead = abs(p[-1])
     biggest = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
     bound = 1 + -(-biggest // lead)
-    m = 1
-    while m < bound:
-        m <<= 1
-    return m
+    return 1 << (bound - 1).bit_length()
 
 
 # Floats place a root on the target grid only when its cells are at least
@@ -224,9 +227,13 @@ class _Enclosure:
         A grid point where p is 0 is the root, and the enclosure becomes
         that point.
 
-        No overshoot: k never exceeds the shift that brings the width to
-        the target, so every QIR enclosure is a cell of the dyadic grid on
-        the starting interval, and the loop stops at depth D.
+        No overshoot: every step, QIR or `halve`, keeps the numerator gap
+        hi - lo, so the denominator 2^D at which the cells fit the target
+        is fixed once per call, and each step compares the denominator
+        with it.  k never exceeds the bit-length difference of the two,
+        the shift that brings the width to the target, so every QIR
+        enclosure is a cell of the dyadic grid on the starting interval,
+        and the loop stops at depth D.
 
         The values of p at the endpoints, scaled to the current
         denominator, are carried from step to step, so only new points
@@ -236,15 +243,18 @@ class _Enclosure:
         `halve` returns.
         """
         lo, hi, den = self.lo_num, self.hi_num, self.den
-        wn, wd = width.numerator, width.denominator
-        if (hi - lo) * wd <= wn * den:  # also true of a point
+        gap = hi - lo
+        # the cells gap / den fit the width once den >= least = ceil(gap /
+        # width), that is, den being a power of two, once den >= target
+        least = -(-gap * width.denominator // width.numerator)
+        if den >= least:  # also true of a point
             return
+        target = 1 << (least - 1).bit_length()
         poly, positive_lo = self.poly, self.sign_lo > 0
         deg = len(poly) - 1
         k = 2
-        while (hi - lo) * wd > wn * den:
-            gap = hi - lo
-            k = min(k, ((gap * wd - 1) // (wn * den)).bit_length())
+        while den < target:
+            k = min(k, target.bit_length() - den.bit_length())
             n, shift = 1 << k, k * deg
             # grid index nearest the secant root n * v_lo / (v_lo - v_hi)
             diff = v_lo - v_hi

@@ -41,6 +41,28 @@ def contains_root(poly, enc):
     return lo * hi < 0
 
 
+class TestValueAt:
+    def test_scaled_value_on_power_of_two_denominators(self):
+        rng = random.Random(2048)
+        for d in range(41):
+            p = tuple(rng.randint(-(1 << 100), 1 << 100)
+                      for _ in range(d + 1))
+            for e in (0, 1, 2, 3, 64, 700, 2048, rng.randint(4, 2047)):
+                den = 1 << e
+                for num in (0, 1, -1, rng.randint(1, den << 3),
+                            -rng.randint(1, den << 3)):
+                    assert value_at(p, num, den) == (
+                        evaluate(p, Fraction(num, den)) * den ** d)
+
+    @pytest.mark.parametrize("den", [3, 6, 0, -2])
+    def test_other_denominators_rejected(self, den):
+        for p in ((), (5,), (-2, 0, 1)):
+            with pytest.raises(ValueError, match="power of two"):
+                value_at(p, 1, den)
+            with pytest.raises(ValueError, match="power of two"):
+                sign_at(p, 1, den)
+
+
 class TestIsolation:
     def test_sqrt_two(self):
         encs = isolate_real_roots((-2, 0, 1), WIDTH)
@@ -539,12 +561,36 @@ class TestFloatGuess:
         # (01)^13: 13 positive roots, one `refine_to` call each; a cell
         # from the float route is already the target cell and takes none
         assert len(per_call) == 13 and max(per_call) <= 4
-        # the ten seeded forms take the float route too, and their 130
-        # cells take none; TestFloatRoute counts isolation's evaluations
+        # the ten seeded forms take the float route at 1e-10 too; at 1e-50
+        # `_float_cells` declines, so QIR refines each of their 130 roots
+        # from its isolating interval.  The counts are deterministic: mean
+        # 18.82, max 27; bisection would take about 166 or more a root
         del per_call[:]
         for counts, rest in rests[1:]:
-            spectra._energy_from_parts(rest, counts, precision)
-        assert len(per_call) == 130 and sum(per_call) <= 4 * len(per_call)
+            spectra._energy_from_parts(rest, counts, Fraction(1, 10 ** 50))
+        assert len(per_call) == 130 and min(per_call) > 0
+        assert sum(per_call) <= 19 * len(per_call)
+        assert max(per_call) <= 27
+
+    def test_deep_targets_refine_quadratically(self, monkeypatch):
+        # seeded connected block forms with B = 4, 6 and 8 blocks and
+        # n = 36-60 vertices at 1e-200, where every root goes to bisection
+        # and QIR; the counts are deterministic: 53 calls, mean 21.36,
+        # max 27; bisection would take about 664 or more evaluations a root
+        rng = random.Random(2200)
+        forms = []
+        for b in (4, 6, 8):
+            for _ in range(6):
+                n = rng.randint(36, 60)
+                cuts = [0] + sorted(rng.sample(range(1, n), b - 1)) + [n]
+                forms.append(tuple(k % 2 for k in range(b)
+                                   for _ in range(cuts[k + 1] - cuts[k])))
+        per_call = refine_evaluations(monkeypatch)
+        for bits in forms:
+            spectra.energy(bits, Fraction(1, 10 ** 200))
+        assert len(per_call) == 53 and min(per_call) > 0
+        assert sum(per_call) <= 21.5 * len(per_call)
+        assert max(per_call) <= 27
 
     def test_two_evaluations_per_root_at_hunt_orders(self, monkeypatch):
         # refinement's share only: the float route certifies every root of

@@ -467,10 +467,24 @@ class TestDyadicEnergySum:
 
 def sturm_above(rest):
     """Roots of a square-free `rest` above num/den, by Sturm's theorem: the
-    reference for `_roots_above`."""
+    reference for `_roots_above`.  Each sign is that of den^deg(g)
+    g(num/den), by Horner on the integers num and den, so den need not be
+    the power of two that `roots.value_at` takes."""
     chain = sturm_chain(rest)
-    top = roots._variations(chain, roots._pow2_root_bound(rest), 1)
-    return lambda num, den: roots._variations(chain, num, den) - top
+
+    def variations(num, den):
+        signs = []
+        for g in chain:
+            v, scale = g[-1], 1
+            for c in reversed(g[:-1]):
+                scale *= den
+                v = v * num + c * scale
+            if v:
+                signs.append(v > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    top = variations(roots._pow2_root_bound(rest), 1)
+    return lambda num, den: variations(num, den) - top
 
 
 class TestRootsAbove:

@@ -30,6 +30,10 @@ gates:
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
                1-3 vertices
+  deepprec     `energy --json` at 1e-100 and 1e-200 on 20 seeded block
+               forms each with B = 4, 6 and 8 blocks and 36-60 vertices:
+               targets far beyond floats, where bisection and QIR place
+               every root hundreds of halvings deep
   float-edge   `energy --json` on the manyblocks forms at 1e-11 to 1e-16
                and `info --json` for the connected sequences with n <= 10
                at 1e-12, 1e-13 and 1e-15: about where `_float_cells`
@@ -80,6 +84,20 @@ def block_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
             for b in block_numbers for _ in range(per_b)]
 
 
+def deep_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
+    """`per_b` connected block forms for each number of blocks B, with
+    36-60 vertices in all, as block expressions from a fixed seed."""
+    rng = random.Random(2015)
+    forms = []
+    for b in block_numbers:
+        for _ in range(per_b):
+            n = rng.randint(36, 60)
+            cuts = [0] + sorted(rng.sample(range(1, n), b - 1)) + [n]
+            forms.append(" ".join(f"{j % 2}^{cuts[j + 1] - cuts[j]}"
+                                  for j in range(b)))
+    return forms
+
+
 def gates() -> list[tuple[str, list[str]]]:
     """(gate, argv) for every query, in the order they run."""
     queries = []
@@ -115,6 +133,10 @@ def gates() -> list[tuple[str, list[str]]]:
         for form in forms:
             queries.append(("manyblocks", ["energy", form, "--precision",
                                            precision, "--json"]))
+    for precision in ("1e-100", "1e-200"):
+        for form in deep_forms((4, 6, 8), 20):
+            queries.append(("deepprec", ["energy", form, "--precision",
+                                         precision, "--json"]))
     for exponent in range(11, 17):
         for form in forms:
             queries.append(("float-edge", ["energy", form, "--precision",
