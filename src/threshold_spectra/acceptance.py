@@ -184,7 +184,7 @@ def criterion_3() -> tuple[bool, str]:
     first = ""
     for _ in range(20):
         a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
-        blocks = ((0, a1), (1, a2), (0, a3), (1, a4))
+        blocks = (a1, a2, a3, a4)
         engine = spectra.q_polynomial(blocks)
         corrected = _four_block_expansion(a1, a2, a3, a4, xy_sign=-1, const_sign=1)
         literal = _four_block_expansion(a1, a2, a3, a4, xy_sign=1, const_sign=-1)

@@ -29,8 +29,8 @@ from .intpoly import (
     poly_pow,
 )
 from .roots import RootEnclosure, isolate_real_roots
-from .sequences import Blocks, block_counts, format_blocks, from_blocks
-from .spectra import _nontrivial_parts, char_poly, energy
+from .sequences import Blocks, format_blocks, from_blocks
+from .spectra import _nontrivial_parts, _require_connected, char_poly, energy
 from .util import decimal_lower, decimal_upper, fraction_str
 
 Rational = Union[int, Fraction]
@@ -67,15 +67,13 @@ def family_pair(family: FamilyId, i: int) -> FamilyPair:
     if i < 1:
         raise ValueError(f"family parameter must be >= 1, got {i}")
     if family is FamilyId.FOUR_BLOCK:
-        g: Blocks = ((0, 2 * i + 1), (1, 3 * i + 3), (0, 2 * i + 1), (1, 2 * i))
-        gp: Blocks = ((0, 2 * i + 2), (1, 3 * i), (0, 2 * i + 1), (1, 2 * i + 2))
+        g: Blocks = (2 * i + 1, 3 * i + 3, 2 * i + 1, 2 * i)
+        gp: Blocks = (2 * i + 2, 3 * i, 2 * i + 1, 2 * i + 2)
     else:
-        g = ((0, 1), (1, 2 * i + 1), (0, i), (1, 2 * i + 2),
-             (0, 2 * i + 1), (1, 2 * i))
-        gp = ((0, 1), (1, 2 * i), (0, i + 1), (1, 2 * i),
-              (0, 2 * i + 1), (1, 2 * i + 2))
+        g = (1, 2 * i + 1, i, 2 * i + 2, 2 * i + 1, 2 * i)
+        gp = (1, 2 * i, i + 1, 2 * i, 2 * i + 1, 2 * i + 2)
     n = 9 * i + 5
-    assert sum(block_counts(g)) == n and sum(block_counts(gp)) == n
+    assert sum(g) == n and sum(gp) == n
     return FamilyPair(family=family, i=i, g=g, g_prime=gp, n=n)
 
 
@@ -135,14 +133,14 @@ def _strip_integer_roots(p: Poly) -> tuple[int, Poly]:
     values counted with multiplicity, remaining factor).
 
     Every real root of p is isolated in a certified closed enclosure at
-    most 1/2 wide, which holds at most one integer, ceil(lo); one exact
-    evaluation decides whether that integer is the root.
+    most 1/2 wide, which holds at most one integer, ceil(lo), in integers
+    from its numerators; one exact evaluation decides whether it is a root.
     """
     total = 0
     rest = p
     for enc in isolate_real_roots(p, Fraction(1, 2)):
-        r = math.ceil(enc.lo)
-        if r <= enc.hi and evaluate(p, r) == 0:
+        r = -(-enc.lo_num // enc.den)
+        if r * enc.den <= enc.hi_num and evaluate(p, r) == 0:
             total += abs(r) * enc.multiplicity
             rest = divide_exact(rest, poly_pow((-r, 1), enc.multiplicity))
     return total, rest
@@ -155,8 +153,11 @@ def exact_energy_equal(blocks_a: Blocks, blocks_b: Blocks) -> Optional[bool]:
     Returns True/False when decidable this way, None otherwise.  The -1
     eigenvalues contribute their multiplicity, every integer root
     contributes its absolute value, and a shared residual factor
-    contributes identically on both sides.
+    contributes identically on both sides.  Raises ValueError unless both
+    block forms are connected.
     """
+    _require_connected(blocks_a)
+    _require_connected(blocks_b)
     _, m1_a, rest_a = _nontrivial_parts(blocks_a)
     _, m1_b, rest_b = _nontrivial_parts(blocks_b)
     int_a, residual_a = _strip_integer_roots(rest_a)

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Union
 
 from .families import exact_energy_equal
 from .intpoly import Poly
-from .sequences import Bits, block_counts, nth_connected, to_blocks
+from .sequences import Bits, nth_connected, to_blocks
 from .spectra import (_char_poly_from_parts, _energy_from_parts,
                       _nontrivial_parts)
 
@@ -154,14 +154,14 @@ def _scan_range(args: tuple[int, int, int, Fraction]) -> Packed:
     for idx in range(start, stop):
         blocks = to_blocks(nth_connected(n, idx))
         _, _, rest = _nontrivial_parts(blocks)
-        lo, hi = _energy_from_parts(rest, block_counts(blocks), precision)
-        need = max(lo.denominator, hi.denominator).bit_length() - 1
+        lo, hi, den = _energy_from_parts(rest, blocks, precision)
+        need = den.bit_length() - 1
         if need > shift:
             los = [v << (need - shift) for v in los]
             his = [v << (need - shift) for v in his]
             shift = need
-        los.append(lo.numerator << (shift + 1 - lo.denominator.bit_length()))
-        his.append(hi.numerator << (shift + 1 - hi.denominator.bit_length()))
+        los.append(lo << (shift - need))
+        his.append(hi << (shift - need))
     return shift, los, his
 
 

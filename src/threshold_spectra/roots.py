@@ -24,9 +24,11 @@ split goes on with the same counter, so the root is reported as one
 point enclosure with that multiplicity.  All interval endpoints are
 dyadic rationals by construction: every denominator is a power of two,
 kept as one, so an exact evaluation shifts the coefficients in where it
-would multiply by powers of the denominator (`value_at`).  Refinement
-never goes deeper than the target width needs, so every route ends on
-the same dyadic cell as plain bisection.
+would multiply by powers of the denominator (`value_at`), and a
+`RootEnclosure` keeps two numerators over one, in lowest terms, building
+no Fraction until asked for `lo`, `hi`, `width` or `midpoint`.
+Refinement never goes deeper than the target width needs, so every route
+ends on the same dyadic cell as plain bisection.
 """
 
 from __future__ import annotations
@@ -57,23 +59,41 @@ RootCounter = Callable[[int, int], int]
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """A closed rational interval certified to contain `multiplicity` roots."""
+    """The closed interval [lo_num / den, hi_num / den] certified to contain
+    `multiplicity` roots; den is the least power of two over which both
+    ends are integers, so equal enclosures have equal fields."""
 
-    lo: Fraction
-    hi: Fraction
+    lo_num: int
+    hi_num: int
+    den: int
     multiplicity: int
 
     @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
+
+    @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return self.lo_num == self.hi_num
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
+
+
+def _lowest_terms(lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """The ends lo/den and hi/den, den a power of two, over the least one."""
+    common = lo | hi | den
+    t = (common & -common).bit_length() - 1
+    return lo >> t, hi >> t, den >> t
 
 
 def value_at(p: Poly, num: int, den: int) -> int:
@@ -176,14 +196,6 @@ class _Enclosure:
     @property
     def is_point(self) -> bool:
         return self.lo_num == self.hi_num
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_num, self.den)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_num, self.den)
 
     def halve(self) -> int:
         """One bisection step preserving the sign-change invariant.
@@ -710,4 +722,5 @@ def isolate_real_roots(p: Poly, width: Rational,
                 f"{'a' if changes else 'no'} sign change between 0 and "
                 "infinity")
     _separate(encs)
-    return [RootEnclosure(e.lo, e.hi, e.mult) for e in encs]
+    return [RootEnclosure(*_lowest_terms(e.lo_num, e.hi_num, e.den), e.mult)
+            for e in encs]

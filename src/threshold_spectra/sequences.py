@@ -3,18 +3,18 @@
 A threshold graph on N vertices is encoded by a binary creation sequence
 b_1 ... b_N with b_1 = 0: bit 0 adds an isolated vertex, bit 1 adds a
 dominating vertex (adjacent to every vertex already present).  The block
-form is the run-length encoding into alternating 0-blocks and 1-blocks;
-the graph is connected exactly when the last block is a 1-block.
+form is the run-length encoding into alternating 0-blocks and 1-blocks,
+stored as its counts alone: block k (from 0) has symbol k % 2.  The
+graph is connected exactly when the last block is a 1-block, that is,
+when the number of blocks is even.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-# A creation sequence is a tuple of bits; a block form is a tuple of
-# (symbol, count) pairs with symbols strictly alternating, starting at 0.
 Bits = tuple[int, ...]
-Blocks = tuple[tuple[int, int], ...]
+Blocks = tuple[int, ...]
 
 
 def parse_sequence(text: str) -> Bits:
@@ -60,48 +60,40 @@ def parse_sequence(text: str) -> Bits:
 
 
 def to_blocks(bits: Bits) -> Blocks:
-    """Run-length encode a creation sequence into alternating blocks."""
-    blocks: list[list[int]] = []
+    """Block counts of a creation sequence of bits 0 and 1 starting at 0."""
+    counts: list[int] = []
+    sym = run = 0
     for b in bits:
-        if blocks and blocks[-1][0] == b:
-            blocks[-1][1] += 1
+        if b == sym:
+            run += 1
+        elif b == 1 - sym and run:
+            counts.append(run)
+            sym, run = b, 1
         else:
-            blocks.append([b, 1])
-    return tuple((s, c) for s, c in blocks)
+            raise ValueError("a creation sequence has bits 0 or 1 and starts "
+                             f"with 0, got bit {b!r}")
+    if run:
+        counts.append(run)
+    return tuple(counts)
 
 
 def from_blocks(blocks: Blocks) -> Bits:
     """Expand a block form back into a creation sequence, validating it."""
     check_blocks(blocks)
-    bits: list[int] = []
-    for sym, count in blocks:
-        bits.extend([sym] * count)
-    return tuple(bits)
+    return tuple(k % 2 for k, count in enumerate(blocks) for _ in range(count))
 
 
 def check_blocks(blocks: Blocks) -> None:
-    """Raise ValueError unless the block form satisfies its invariants."""
+    """Raise ValueError unless the block form is non-empty, counts >= 1."""
     if not blocks:
         raise ValueError("block form must contain at least one block")
-    if blocks[0][0] != 0:
-        raise ValueError("first block must have symbol 0")
-    for k, (sym, count) in enumerate(blocks):
-        if sym not in (0, 1):
-            raise ValueError(f"block symbol must be 0 or 1, got {sym}")
-        if count < 1:
-            raise ValueError(f"block count must be positive, got {count}")
-        if sym != k % 2:
-            raise ValueError("block symbols must strictly alternate starting at 0")
-
-
-def block_counts(blocks: Blocks) -> tuple[int, ...]:
-    """The counts a_1, ..., a_B of a block form."""
-    return tuple(c for _, c in blocks)
+    if min(blocks) < 1:
+        raise ValueError(f"block count must be positive, got {min(blocks)}")
 
 
 def format_blocks(blocks: Blocks) -> str:
     """Canonical compact text of a block form, counts always printed."""
-    return "(" + " ".join(f"{s}^{c}" for s, c in blocks) + ")"
+    return "(" + " ".join(f"{k % 2}^{c}" for k, c in enumerate(blocks)) + ")"
 
 
 def format_sequence(bits: Bits) -> str:

@@ -70,7 +70,7 @@ exact; an integer a, 0 among them, seeds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Union
@@ -84,15 +84,8 @@ from .intpoly import (
     mul_xk,
     to_coeff_list,
 )
-from .roots import RootEnclosure, isolate_real_roots
-from .sequences import (
-    Bits,
-    Blocks,
-    block_counts,
-    check_blocks,
-    format_sequence,
-    to_blocks,
-)
+from .roots import RootEnclosure, _lowest_terms, isolate_real_roots
+from .sequences import Bits, Blocks, check_blocks, format_sequence, to_blocks
 from .util import decimal_lower, decimal_upper, fraction_str
 
 Rational = Union[int, Fraction]
@@ -102,11 +95,11 @@ _Y: Poly = (1, 1)
 
 def _require_connected(blocks: Blocks) -> None:
     check_blocks(blocks)
-    if blocks[-1][0] != 1:
+    if len(blocks) % 2:
         raise ValueError("block form is disconnected (must end in a 1-block)")
 
 
-def _multiplicities(counts: tuple[int, ...]) -> tuple[int, int]:
+def _multiplicities(counts: Blocks) -> tuple[int, int]:
     """Multiplicities (m0, m1) of the eigenvalues 0 and -1, read off the
     counts of a connected block form."""
     m0 = sum(c - 1 for c in counts[0::2])
@@ -117,14 +110,14 @@ def _multiplicities(counts: tuple[int, ...]) -> tuple[int, int]:
 def multiplicity_zero(blocks: Blocks) -> int:
     """Multiplicity of eigenvalue 0: surplus of the 0-blocks."""
     _require_connected(blocks)
-    return _multiplicities(block_counts(blocks))[0]
+    return _multiplicities(blocks)[0]
 
 
 def multiplicity_minus_one(blocks: Blocks) -> int:
     """Multiplicity of eigenvalue -1: surplus of the 1-blocks, plus one
     when the leading 0-block is a single vertex."""
     _require_connected(blocks)
-    return _multiplicities(block_counts(blocks))[1]
+    return _multiplicities(blocks)[1]
 
 
 def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
@@ -156,14 +149,14 @@ def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
 
 def gamma(blocks: Blocks, length: int) -> int:
     """Sum over the index sequences of the products of indexed block counts."""
-    counts = block_counts(blocks)
-    b = len(counts)
+    check_blocks(blocks)
+    b = len(blocks)
     if not 0 <= length <= b:
         raise ValueError(f"length must lie in [0, {b}], got {length}")
-    return _gammas(counts)[length]
+    return _gammas(blocks)[length]
 
 
-def _gammas(counts: tuple[int, ...]) -> list[int]:
+def _gammas(counts: Blocks) -> list[int]:
     """[gamma_B(0), ..., gamma_B(B)] in one right-to-left pass, O(B^2)."""
     b = len(counts)
     # sums[p][l] totals E_k[l] over the indices k > j of parity p.  A
@@ -182,10 +175,10 @@ def _gammas(counts: tuple[int, ...]) -> list[int]:
 def q_polynomial(blocks: Blocks) -> Poly:
     """The monic degree-B companion factor of a connected block form."""
     _require_connected(blocks)
-    return _q_from_counts(block_counts(blocks))
+    return _q_from_counts(blocks)
 
 
-def _q_from_counts(counts: tuple[int, ...]) -> Poly:
+def _q_from_counts(counts: Blocks) -> Poly:
     """Q_B of a connected block form, B = 2m blocks, by Horner in xy:
     from acc = 1, acc = (-1)^(m-k) L_k + xy acc for k = m - 1 down to 0,
     with L_k = gamma_B(B - 2k) + x gamma_B(B - 2k - 1)."""
@@ -232,7 +225,7 @@ def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
     return char_poly_of_sequence(bits_a) == char_poly_of_sequence(bits_b)
 
 
-def _roots_above(counts: tuple[int, ...], num: int, den: int) -> int:
+def _roots_above(counts: Blocks, num: int, den: int) -> int:
     """Number of eigenvalues strictly above a = num/den >= 0 (den > 0) of
     the connected graph with these block counts, which is the number of
     roots of `rest` above a; O(B) integer steps, no polynomial.
@@ -285,10 +278,9 @@ def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
     x + 1 when the leading 0-block is a single vertex; raises
     ArithmeticError if that division is inexact.
     """
-    counts = block_counts(blocks)
-    m0, m1 = _multiplicities(counts)
-    rest = _q_from_counts(counts)
-    if counts[0] == 1:
+    m0, m1 = _multiplicities(blocks)
+    rest = _q_from_counts(blocks)
+    if blocks[0] == 1:
         rest = divide_exact(rest, _Y)
         if rest is None:
             raise ArithmeticError(
@@ -322,44 +314,44 @@ def _eigen_enclosures(rest: Poly, precision: Fraction, m0: int, m1: int
     special = {0: m0, -1: m1}
     out = []
     for enc in isolate_real_roots(mul(rest, (0, 1, 1)), precision / d):
-        if enc.is_point and enc.lo in special:
-            if not special[enc.lo]:
+        if enc.is_point and enc.den == 1 and enc.lo_num in special:
+            if not special[enc.lo_num]:
                 continue
-            enc = RootEnclosure(enc.lo, enc.hi, special[enc.lo])
+            enc = replace(enc, multiplicity=special[enc.lo_num])
         out.append(enc)
     return out
 
 
-def _energy_from_parts(rest: Poly, counts: tuple[int, ...],
-                       precision: Fraction) -> tuple[Fraction, Fraction]:
-    """Energy interval of the connected graph with these block counts
-    whose factor free of 0 and -1 is `rest`: twice the sum of the
-    positive eigenvalues.
+def _energy_from_parts(rest: Poly, counts: Blocks,
+                       precision: Fraction) -> tuple[int, int, int]:
+    """Energy interval [lo / den, hi / den], as the integers (lo, hi, den)
+    with den the least power of two, of the connected graph with these
+    block counts whose factor free of 0 and -1 is `rest`: twice the sum
+    of the positive eigenvalues.
 
     With b = len(counts), the b/2 positive roots of `rest` are isolated
     on (0, bound), split by the pivot counts of `_roots_above`, and each
     refined to width precision / b, so the interval [2 sum lo, 2 sum hi]
     holds the energy and is at most 2 (b/2) (precision / b) = precision
-    wide.  Raises ArithmeticError if the roots found do not number b/2,
-    the inertia of every connected threshold graph.
+    wide, summed in integers on the largest enclosure denominator.
+    Raises ArithmeticError if the roots found do not number b/2, the
+    inertia of every connected threshold graph.
     """
     b = len(counts)
     encs = isolate_real_roots(rest, precision / b,
                               above=partial(_roots_above, counts))
-    # every endpoint is dyadic: sum numerators on the largest denominator
-    top = max((end.denominator for e in encs for end in (e.lo, e.hi)),
-              default=1)
+    top = max((enc.den for enc in encs), default=1)
     lo = hi = found = 0
     for enc in encs:
-        k = enc.multiplicity
-        lo += k * enc.lo.numerator * (top // enc.lo.denominator)
-        hi += k * enc.hi.numerator * (top // enc.hi.denominator)
-        found += k
+        k = enc.multiplicity * (top // enc.den)
+        lo += k * enc.lo_num
+        hi += k * enc.hi_num
+        found += enc.multiplicity
     if 2 * found != b:
         raise ArithmeticError(
             f"inertia check failed: {found} positive eigenvalues found "
             f"for {b} blocks, expected {b}/2")
-    return Fraction(2 * lo, top), Fraction(2 * hi, top)
+    return _lowest_terms(2 * lo, 2 * hi, top)
 
 
 def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
@@ -377,9 +369,9 @@ def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     if not core:
         return Fraction(0), Fraction(0)
     blocks = to_blocks(core)
-    _require_connected(blocks)
     _, _, rest = _nontrivial_parts(blocks)
-    return _energy_from_parts(rest, block_counts(blocks), prec)
+    lo, hi, den = _energy_from_parts(rest, blocks, prec)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 @dataclass(frozen=True)
@@ -435,7 +427,7 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
         raise ValueError(f"precision must be positive, got {precision}")
     m0, m1, rest = _nontrivial_parts(blocks)
     full = _char_poly_from_parts(m0, m1, rest)
-    e_lo, e_hi = _energy_from_parts(rest, block_counts(blocks), prec)
+    e_lo, e_hi, den = _energy_from_parts(rest, blocks, prec)
     return SpectralSummary(
         sequence=bits,
         n=len(bits),
@@ -444,6 +436,6 @@ def spectral_summary(bits: Bits, precision: Rational) -> SpectralSummary:
         char_poly=full,
         nontrivial_factor=rest,
         roots=tuple(_eigen_enclosures(rest, prec, m0, m1)),
-        energy_lo=e_lo,
-        energy_hi=e_hi,
+        energy_lo=Fraction(e_lo, den),
+        energy_hi=Fraction(e_hi, den),
     )

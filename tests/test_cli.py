@@ -184,7 +184,7 @@ class TestOneEnergyRoute:
         monkeypatch.setattr(spectra, "_q_from_counts",
                             lambda counts: (real(counts)[0] + 1,)
                             + real(counts)[1:])
-        blocks = ((0, 1), (1, 3), (0, 2), (1, 2))
+        blocks = (1, 3, 2, 2)
         with pytest.raises(ArithmeticError):
             spectra._nontrivial_parts(blocks)
         for command in ("energy", "info"):

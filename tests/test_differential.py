@@ -74,8 +74,7 @@ def test_deep_precision_interval_nests_in_shallow(bits):
 @hypothesis.given(block_forms_and_points())
 def test_roots_above_matches_sturm(case):
     counts, num, den = case
-    blocks = tuple((j % 2, c) for j, c in enumerate(counts))
-    _, _, rest = spectra._nontrivial_parts(blocks)
+    _, _, rest = spectra._nontrivial_parts(counts)
     bound = roots._pow2_root_bound(rest)
     want = 0
     for factor, mult in square_free_decomposition(rest):

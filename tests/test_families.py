@@ -32,14 +32,14 @@ TOL = Fraction(1, 10 ** 9)
 class TestFamilyPairs:
     def test_four_block_first(self):
         pair = family_pair(FamilyId.FOUR_BLOCK, 1)
-        assert pair.g == ((0, 3), (1, 6), (0, 3), (1, 2))
-        assert pair.g_prime == ((0, 4), (1, 3), (0, 3), (1, 4))
+        assert pair.g == (3, 6, 3, 2)
+        assert pair.g_prime == (4, 3, 3, 4)
         assert pair.n == 14
 
     def test_six_block_first(self):
         pair = family_pair(FamilyId.SIX_BLOCK, 1)
-        assert pair.g == ((0, 1), (1, 3), (0, 1), (1, 4), (0, 3), (1, 2))
-        assert pair.g_prime == ((0, 1), (1, 2), (0, 2), (1, 2), (0, 3), (1, 4))
+        assert pair.g == (1, 3, 1, 4, 3, 2)
+        assert pair.g_prime == (1, 2, 2, 2, 3, 4)
         assert pair.n == 14
 
     def test_order_grows_linearly(self):
@@ -143,14 +143,22 @@ class TestExactEnergyEquality:
         assert exact_energy_equal(pair.g, pair.g_prime) is True
 
     def test_decidably_unequal(self):
-        k3 = to_blocks(from_blocks(((0, 1), (1, 2))))
-        k4 = ((0, 1), (1, 3))
+        k3 = to_blocks(from_blocks((1, 2)))
+        k4 = (1, 3)
         assert exact_energy_equal(k3, k4) is False
 
     def test_undecidable_route(self):
-        p3 = ((0, 2), (1, 1))
-        k3 = ((0, 1), (1, 2))
+        p3 = (2, 1)
+        k3 = (1, 2)
         assert exact_energy_equal(p3, k3) is None
+
+    @pytest.mark.parametrize("bad", [(0, 2), (2,), (1, 2, 3), (), (2, -1)])
+    def test_malformed_forms_rejected(self, bad):
+        # a zero count once gave m0 = -1, and a disconnected form False
+        with pytest.raises(ValueError):
+            exact_energy_equal(bad, (1, 1))
+        with pytest.raises(ValueError):
+            exact_energy_equal((1, 1), bad)
 
 
 def trial_division_strip(p):

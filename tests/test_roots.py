@@ -23,7 +23,6 @@ from threshold_spectra.roots import (
 )
 from threshold_spectra.sequences import (
     adjacency_matrix,
-    block_counts,
     enumerate_connected,
     nth_connected,
     parse_sequence,
@@ -31,6 +30,21 @@ from threshold_spectra.sequences import (
 )
 
 WIDTH = Fraction(1, 1000)
+
+
+def assert_dyadic(enc):
+    """The `RootEnclosure` contract: integer ends lo_num <= hi_num over a
+    power of two den, the least one over which both ends are integers, so
+    a point is in lowest terms; the Fraction views agree with them."""
+    assert type(enc.lo_num) is type(enc.hi_num) is type(enc.den) is int
+    assert enc.den > 0 and enc.den & (enc.den - 1) == 0
+    assert enc.lo_num <= enc.hi_num
+    assert enc.lo == Fraction(enc.lo_num, enc.den)
+    assert enc.hi == Fraction(enc.hi_num, enc.den)
+    assert enc.den == max(enc.lo.denominator, enc.hi.denominator)
+    assert enc.is_point == (enc.lo == enc.hi)
+    assert enc.width == enc.hi - enc.lo
+    assert enc.midpoint == (enc.lo + enc.hi) / 2
 
 
 def contains_root(poly, enc):
@@ -280,14 +294,13 @@ class TestOnePass:
         check_subdivision(LEFT_OF_HIT, above, [(1, 1, 1)])
         encs = isolate_real_roots(LEFT_OF_HIT, Fraction(1, 2), above)
         assert [e.multiplicity for e in encs] == [1, 1, 1]
-        assert encs[2] == roots.RootEnclosure(1, 1, 1)
+        assert encs[2] == roots.RootEnclosure(1, 1, 1, 1)
         assert Fraction(3, 4) <= encs[1].lo < encs[1].hi <= 1
 
     @pytest.mark.parametrize("route", ["sturm", "above", "pivots"])
     def test_hit_while_other_half_is_pending(self, route):
-        blocks = to_blocks(parse_sequence(PENDING_HALF_SEQUENCE))
-        assert spectra._nontrivial_parts(blocks)[2] == PENDING_HALF
-        counts = block_counts(blocks)
+        counts = to_blocks(parse_sequence(PENDING_HALF_SEQUENCE))
+        assert spectra._nontrivial_parts(counts)[2] == PENDING_HALF
         above = {"sturm": None, "above": sturm_above(PENDING_HALF),
                  "pivots": lambda num, den: spectra._roots_above(
                      counts, num, den)}[route]
@@ -295,15 +308,14 @@ class TestOnePass:
         encs = isolate_real_roots(PENDING_HALF, Fraction(1, 2), above)
         positive = [e for e in encs if e.hi > 0]
         assert len(positive) == len(counts) // 2
-        assert roots.RootEnclosure(1, 1, 1) in positive
+        assert roots.RootEnclosure(1, 1, 1, 1) in positive
         assert len(encs) == (5 if above is None else 3)
 
     def test_dyadic_double_root_is_one_point(self):
         p = mul(poly_pow((-3, 4), 2), (-5, 1, 1))
         check_subdivision(p, sturm_above(p), [(3, 4, 2)])
         encs = isolate_real_roots(p, Fraction(1, 2), sturm_above(p))
-        assert encs[0] == roots.RootEnclosure(Fraction(3, 4),
-                                              Fraction(3, 4), 2)
+        assert encs[0] == roots.RootEnclosure(3, 3, 4, 2)
         assert [e.multiplicity for e in encs] == [2, 1]
 
     @pytest.mark.parametrize("width", [Fraction(1, 2), Fraction(1, 10 ** 20)])
@@ -340,8 +352,7 @@ class TestEnclosureContracts:
             for a, b in zip(encs, encs[1:]):
                 assert a.hi < b.lo
             for enc in encs:
-                den = enc.lo.denominator
-                assert den & (den - 1) == 0  # dyadic endpoints
+                assert_dyadic(enc)
                 assert enc.width <= WIDTH
                 assert not (enc.lo < 0 < enc.hi)
 
@@ -434,13 +445,15 @@ class TestRefinement:
                                            sign_at(reduced, lo, den), 1)
                     enc.refine_to(width, value_at(reduced, lo, den),
                                   value_at(reduced, hi, den))
+                    got_lo = Fraction(enc.lo_num, enc.den)
+                    got_hi = Fraction(enc.hi_num, enc.den)
                     if Fraction(hi - lo, den) <= width:
-                        assert (enc.lo, enc.hi) == (Fraction(lo, den),
+                        assert (got_lo, got_hi) == (Fraction(lo, den),
                                                     Fraction(hi, den))
                     elif enc.is_point:
-                        assert evaluate(reduced, enc.lo) == 0
+                        assert evaluate(reduced, got_lo) == 0
                     else:
-                        assert width / 2 < enc.hi - enc.lo <= width
+                        assert width / 2 < got_hi - got_lo <= width
                         assert enc.den & (enc.den - 1) == 0
                         assert (sign_at(reduced, enc.lo_num, enc.den)
                                 * sign_at(reduced, enc.hi_num, enc.den)) < 0
@@ -449,7 +462,8 @@ class TestRefinement:
     @pytest.mark.parametrize("p, root", DYADIC)
     def test_dyadic_root_is_a_point(self, p, root, width):
         encs = isolate_real_roots(p, width)
-        assert roots.RootEnclosure(root, root, 1) in encs
+        assert roots.RootEnclosure(root.numerator, root.numerator,
+                                   root.denominator, 1) in encs
         assert sum(e.is_point for e in encs) == 1
 
 
@@ -522,7 +536,7 @@ class TestFloatGuess:
             for lo, hi, den in intervals]
         for width in FLOAT_WIDTHS:
             encs = isolate_real_roots(p, width)
-            assert roots.RootEnclosure(Fraction(5), Fraction(5), 1) in encs
+            assert roots.RootEnclosure(5, 5, 1, 1) in encs
             assert encs == bisected_roots(p, width)
 
     def test_coefficients_beyond_float_range(self):
@@ -553,8 +567,7 @@ class TestFloatGuess:
                                for _ in range(10)]
         for form in forms:
             blocks = to_blocks(parse_sequence(form))
-            rests.append((block_counts(blocks),
-                          spectra._nontrivial_parts(blocks)[2]))
+            rests.append((blocks, spectra._nontrivial_parts(blocks)[2]))
         per_call = refine_evaluations(monkeypatch)
         counts, rest = rests[0]
         spectra._energy_from_parts(rest, counts, precision)
@@ -622,7 +635,7 @@ def energy_parts(form):
     """(block counts, `rest`) of a connected sequence or block expression."""
     blocks = to_blocks(parse_sequence(form) if isinstance(form, str)
                        else form)
-    return block_counts(blocks), spectra._nontrivial_parts(blocks)[2]
+    return blocks, spectra._nontrivial_parts(blocks)[2]
 
 
 def energy_roots(counts, rest, precision):
@@ -666,6 +679,37 @@ def cell_width(p, width):
     while cell > width:
         cell /= 2
     return cell
+
+
+class TestDyadicEnclosures:
+    """Every route returns its enclosures as dyadic integers in lowest
+    terms (`assert_dyadic`): Sturm bisection, bisection on a counter's
+    counts, and the float pass."""
+
+    @pytest.mark.parametrize("route", ["sturm", "bisection", "float"])
+    def test_seeded_polynomials(self, monkeypatch, route):
+        if route == "bisection":
+            exact_route(monkeypatch)
+        polys = seeded_polys_with_exact_roots(random.Random(1107), 60)
+        for p in polys + MIGNOTTE:
+            above = None if route == "sturm" else sturm_above(p)
+            for width in (Fraction(1, 2), Fraction(1, 10 ** 20)):
+                for enc in isolate_real_roots(p, width, above):
+                    assert_dyadic(enc)
+
+    @pytest.mark.parametrize("route", ["bisection", "float"])
+    def test_energy_route_up_to_ten(self, monkeypatch, route):
+        if route == "bisection":
+            exact_route(monkeypatch)
+        bisections = count_bisections(monkeypatch)
+        graphs = 0
+        for n in range(2, 11):
+            for bits in enumerate_connected(n):
+                counts, rest = energy_parts(bits)
+                for enc in energy_roots(counts, rest, Fraction(1, 10 ** 10)):
+                    assert_dyadic(enc)
+                graphs += 1
+        assert bisections[0] == (0 if route == "float" else graphs)
 
 
 class TestFloatRoute:

@@ -64,31 +64,37 @@ class TestParse:
 
 class TestBlocks:
     def test_to_blocks_example(self):
-        assert to_blocks(tuple(map(int, "0011100011"))) == (
-            (0, 2), (1, 3), (0, 3), (1, 2))
+        assert to_blocks(tuple(map(int, "0011100011"))) == (2, 3, 3, 2)
 
     def test_single_vertex(self):
-        assert to_blocks((0,)) == ((0, 1),)
+        assert to_blocks((0,)) == (1,)
 
     def test_from_blocks_length(self):
-        bits = from_blocks(((0, 3), (1, 6), (0, 3), (1, 2)))
+        bits = from_blocks((3, 6, 3, 2))
         assert len(bits) == 14
 
     def test_complete_graph_blocks(self):
         for k in (1, 4, 9):
-            assert from_blocks(((0, 1), (1, k))) == (0,) + (1,) * k
+            assert from_blocks((1, k)) == (0,) + (1,) * k
 
     def test_first_block_must_be_zero(self):
-        with pytest.raises(ValueError):
-            from_blocks(((1, 2),))
+        # a block form starts with a 0-block by position; the bits that
+        # would start with a 1-block are rejected when they are encoded
+        for bits in ((1,), (1, 0), (1, 1, 0, 1)):
+            with pytest.raises(ValueError, match="starts with 0"):
+                to_blocks(bits)
 
     def test_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            from_blocks(((0, 0), (1, 1)))
+        for blocks in ((0, 1), (1, 0), (2, -1), ()):
+            with pytest.raises(ValueError):
+                from_blocks(blocks)
 
     def test_non_alternating(self):
-        with pytest.raises(ValueError):
-            from_blocks(((0, 1), (0, 2)))
+        # block symbols alternate by position; a bit that is neither 0
+        # nor 1 has no block to go in
+        for bits in ((0, 2, 1), (0, 1, -1), (0, 0, 3), (2,)):
+            with pytest.raises(ValueError, match="bits 0 or 1"):
+                to_blocks(bits)
 
     def test_roundtrip_both_ways(self):
         rng = random.Random(5150)
@@ -99,7 +105,8 @@ class TestBlocks:
             assert to_blocks(from_blocks(blocks)) == blocks
 
     def test_format(self):
-        assert format_blocks(((0, 2), (1, 3), (0, 3), (1, 2))) == "(0^2 1^3 0^3 1^2)"
+        assert format_blocks((2, 3, 3, 2)) == "(0^2 1^3 0^3 1^2)"
+        assert format_blocks((1,)) == "(0^1)"
         assert format_sequence((0, 1)) == "(0^1 1^1)"
 
 
@@ -189,7 +196,7 @@ class TestEnumerate:
             assert seqs == sorted(seqs)
 
     def test_order_fourteen_contains_six_one_family_member(self):
-        member = from_blocks(((0, 3), (1, 6), (0, 3), (1, 2)))
+        member = from_blocks((3, 6, 3, 2))
         assert len(member) == 14
         assert any(s == member for s in enumerate_connected(14))
 

@@ -20,7 +20,6 @@ from threshold_spectra import roots
 from threshold_spectra.roots import isolate_real_roots, sturm_chain
 from threshold_spectra.sequences import (
     adjacency_matrix,
-    block_counts,
     enumerate_connected,
     nth_connected,
     parse_sequence,
@@ -68,9 +67,9 @@ class TestMultiplicities:
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
-            multiplicity_zero(((0, 2),))
+            multiplicity_zero((2,))
         with pytest.raises(ValueError):
-            multiplicity_minus_one(((0, 1), (1, 2), (0, 1)))
+            multiplicity_minus_one((1, 2, 1))
 
     def test_matches_counted_roots_small_corpus(self):
         for n in range(2, 9):
@@ -130,52 +129,55 @@ class TestGamma:
         rng = random.Random(11)
         for _ in range(25):
             a1, a2, a3, a4 = (rng.randint(1, 9) for _ in range(4))
-            blocks = ((0, a1), (1, a2), (0, a3), (1, a4))
+            blocks = (a1, a2, a3, a4)
             assert gamma(blocks, 2) == a1 * a2 + a1 * a4 + a3 * a4
             assert gamma(blocks, 1) == a2 + a4
             assert gamma(blocks, 3) == a2 * a3 * a4
 
     def test_concrete_triple(self):
-        blocks = ((0, 2), (1, 3), (0, 3), (1, 2))
+        blocks = (2, 3, 3, 2)
         assert gamma(blocks, 3) == 18
 
     def test_length_zero_is_one(self):
         rng = random.Random(12)
         for _ in range(10):
-            counts = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
-            blocks = tuple((k % 2, c) for k, c in enumerate(counts))
+            blocks = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 6)))
             assert gamma(blocks, 0) == 1
 
     def test_full_length_is_product(self):
-        blocks = ((0, 2), (1, 3), (0, 5), (1, 7))
+        blocks = (2, 3, 5, 7)
         assert gamma(blocks, 4) == 2 * 3 * 5 * 7
 
     def test_nonnegative(self):
         rng = random.Random(13)
         for _ in range(20):
-            counts = [rng.randint(1, 6) for _ in range(rng.randint(2, 8))]
-            blocks = tuple((k % 2, c) for k, c in enumerate(counts))
-            for length in range(len(counts) + 1):
+            blocks = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 8)))
+            for length in range(len(blocks) + 1):
                 assert gamma(blocks, length) >= 0
+
+    @pytest.mark.parametrize("blocks", [(0, 2), (2, 0), (2, -1), ()])
+    def test_malformed_forms_rejected(self, blocks):
+        # a zero count once gave gamma((0, 2), 1) == 2
+        with pytest.raises(ValueError):
+            gamma(blocks, 1)
 
     def test_matches_enumeration(self):
         rng = random.Random(14)
         for b in range(1, 17):
             seqs = [index_sequences(b, length) for length in range(b + 1)]
             for _ in range(3):
-                counts = [rng.randint(1, 9) for _ in range(b)]
-                blocks = tuple((k % 2, c) for k, c in enumerate(counts))
+                counts = tuple(rng.randint(1, 9) for _ in range(b))
                 for length, group in enumerate(seqs):
                     expected = sum(math.prod(counts[i - 1] for i in seq)
                                    for seq in group)
-                    assert gamma(blocks, length) == expected, (counts, length)
+                    assert gamma(counts, length) == expected, (counts, length)
 
     def test_unit_counts_sum_to_fibonacci(self):
         fib = [0, 1]
         while len(fib) < 43:
             fib.append(fib[-1] + fib[-2])
         for b in range(1, 41):
-            blocks = tuple((k % 2, 1) for k in range(b))
+            blocks = (1,) * b
             assert sum(gamma(blocks, length)
                        for length in range(b + 1)) == fib[b + 2]
 
@@ -198,40 +200,39 @@ class TestCompanionFactor:
         rng = random.Random(314159)
         for _ in range(20):
             a1, a2, a3, a4 = (rng.randint(1, 6) for _ in range(4))
-            blocks = ((0, a1), (1, a2), (0, a3), (1, a4))
+            blocks = (a1, a2, a3, a4)
             assert q_polynomial(blocks) == corrected_four_block_expansion(
                 a1, a2, a3, a4)
 
     def test_complete_graph_factorization(self):
         for n in (2, 3, 7, 12):
-            blocks = ((0, 1), (1, n - 1))
+            blocks = (1, n - 1)
             assert q_polynomial(blocks) == (-(n - 1), -(n - 2), 1)
             assert q_polynomial(blocks) == mul((-(n - 1), 1), (1, 1))
 
     def test_four_block_linear_factor(self):
-        q = q_polynomial(((0, 3), (1, 6), (0, 3), (1, 2)))
+        q = q_polynomial((3, 6, 3, 2))
         assert divide_exact(q, (3, 1)) is not None
 
     def test_monic_of_degree_b(self):
         rng = random.Random(21)
         for _ in range(40):
             count = rng.randint(1, 4) * 2
-            counts = [rng.randint(1, 4) for _ in range(count)]
-            blocks = tuple((k % 2, c) for k, c in enumerate(counts))
+            blocks = tuple(rng.randint(1, 4) for _ in range(count))
             q = q_polynomial(blocks)
             assert len(q) == count + 1
             assert q[-1] == 1
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
-            q_polynomial(((0, 2),))
+            q_polynomial((2,))
 
     def test_horner_matches_gamma_sum_formula(self):
         # Q_B = sum_k (-1)^(m-k) (xy)^k (gamma(B - 2k) + x gamma(B - 2k - 1))
         rng = random.Random(1515)
         for _ in range(60):
             b = rng.randint(1, 8) * 2
-            blocks = tuple((k % 2, rng.randint(1, 5)) for k in range(b))
+            blocks = tuple(rng.randint(1, 5) for _ in range(b))
             m = b // 2
             expected = ()
             for k in range(m + 1):
@@ -241,7 +242,7 @@ class TestCompanionFactor:
                 if (m - k) % 2:
                     term = tuple(-c for c in term)
                 expected = add(expected, term)
-            assert spectra._q_from_counts(block_counts(blocks)) == expected
+            assert spectra._q_from_counts(blocks) == expected
 
 
 class TestCharPoly:
@@ -266,9 +267,8 @@ class TestCharPoly:
     def test_many_blocks_match_determinant_route(self):
         rng = random.Random(30)
         counts = [rng.randint(1, 2) for _ in range(32)]
-        for blocks in (tuple((k % 2, 1) for k in range(40)),
-                       tuple((k % 2, c) for k, c in enumerate(counts))):
-            bits = tuple(bit for bit, c in blocks for _ in range(c))
+        for blocks in ((1,) * 40, tuple(counts)):
+            bits = tuple(k % 2 for k, c in enumerate(blocks) for _ in range(c))
             assert char_poly(blocks) == linalg.charpoly(adjacency_matrix(bits))
 
     @pytest.mark.parametrize("text", ["(0^1 1^39)", "(0^20 1^20)",
@@ -284,21 +284,20 @@ class TestCharPoly:
         for n in range(2, 9):
             for bits in enumerate_connected(n):
                 blocks = to_blocks(bits)
-                counts = block_counts(blocks)
                 q = q_polynomial(blocks)
                 assert q[0] != 0
                 once = divide_exact(q, (1, 1))
                 twice = divide_exact(once, (1, 1)) if once is not None else None
-                if counts[0] == 1:
+                if blocks[0] == 1:
                     assert once is not None and twice is None
-                    s1 = sum(c - 1 for c in counts[1::2])
+                    s1 = sum(c - 1 for c in blocks[1::2])
                     assert multiplicity_minus_one(blocks) == s1 + 1
                 else:
                     assert once is None
 
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
-            char_poly(((0, 1), (1, 1), (0, 2)))
+            char_poly((1, 1, 2))
 
     def test_sequence_with_trailing_isolated_vertices(self):
         core = parse_sequence("011")
@@ -308,6 +307,10 @@ class TestCharPoly:
 
     def test_all_isolated(self):
         assert char_poly_of_sequence((0, 0, 0)) == (0, 0, 0, 1)
+
+    def test_sequence_rejects_leading_one(self):
+        with pytest.raises(ValueError, match="starts with 0"):
+            char_poly_of_sequence((1, 1))
 
 
 class TestCospectrality:
@@ -369,6 +372,10 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy(bits, PRECISION)
 
+    def test_rejects_bits_other_than_zero_and_one(self):
+        with pytest.raises(ValueError, match="bits 0 or 1"):
+            energy((0, 2, 1), Fraction(1, 1000))
+
 
 def padded_route_energy(m1, rest, precision):
     """Energy as the sum of |lambda| over every root of x(x+1)*rest, each
@@ -392,12 +399,11 @@ class TestPositiveEigenvalues:
         for n in range(2, 13):
             for bits in enumerate_connected(n):
                 blocks = to_blocks(bits)
-                counts = block_counts(blocks)
-                b = len(counts)
+                b = len(blocks)
                 _, m1, rest = spectra._nontrivial_parts(blocks)
                 positive = isolate_real_roots(
                     rest, PRECISION / b,
-                    above=partial(spectra._roots_above, counts))
+                    above=partial(spectra._roots_above, blocks))
                 assert sum(e.multiplicity for e in positive) == b // 2
                 assert all(e.hi > 0 for e in positive)
                 lo, hi = energy(bits, PRECISION)
@@ -406,11 +412,10 @@ class TestPositiveEigenvalues:
                 assert lo <= old_hi and old_lo <= hi
 
     def test_wrong_root_count_fails_inertia_check(self, monkeypatch):
-        blocks = to_blocks(parse_sequence("(0^2 1^3 0^3 1^2)"))
-        counts = block_counts(blocks)
-        _, _, rest = spectra._nontrivial_parts(blocks)
-        lo, hi = spectra._energy_from_parts(rest, counts, PRECISION)
-        assert hi - lo <= PRECISION
+        counts = to_blocks(parse_sequence("(0^2 1^3 0^3 1^2)"))
+        _, _, rest = spectra._nontrivial_parts(counts)
+        lo, hi, den = spectra._energy_from_parts(rest, counts, PRECISION)
+        assert Fraction(hi - lo, den) <= PRECISION
         real = spectra._roots_above
         # a count that sees no positive root: nothing is isolated, and
         # the inertia check notices the b/2 missing roots
@@ -432,12 +437,22 @@ def fraction_energy(rest, counts, precision):
     encs = isolate_real_roots(rest, precision / len(counts),
                               above=partial(spectra._roots_above, counts))
     for enc in encs:
-        for end in (enc.lo, enc.hi):
-            # the integer sum scales every endpoint to one denominator
-            assert end.denominator & (end.denominator - 1) == 0, end
+        # the integer sum scales every endpoint to one denominator
+        assert enc.den & (enc.den - 1) == 0, enc
     lo = sum((e.multiplicity * e.lo for e in encs), Fraction(0))
     hi = sum((e.multiplicity * e.hi for e in encs), Fraction(0))
     return 2 * lo, 2 * hi
+
+
+def energy_fractions(got):
+    """The interval that `_energy_from_parts` returns as integers (lo, hi,
+    den), den the least power of two over which both are integers, as
+    Fractions."""
+    lo, hi, den = got
+    assert type(lo) is type(hi) is type(den) is int
+    assert 0 < den and den & (den - 1) == 0 and lo <= hi
+    assert den == 1 or (lo | hi) & 1
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 class TestDyadicEnergySum:
@@ -446,12 +461,11 @@ class TestDyadicEnergySum:
     def test_every_order_up_to_ten(self, precision):
         for n in range(2, 11):
             for bits in enumerate_connected(n):
-                blocks = to_blocks(bits)
-                counts = block_counts(blocks)
-                _, _, rest = spectra._nontrivial_parts(blocks)
+                counts = to_blocks(bits)
+                _, _, rest = spectra._nontrivial_parts(counts)
                 got = spectra._energy_from_parts(rest, counts, precision)
-                assert got == fraction_energy(rest, counts, precision), bits
-                assert all(type(end) is Fraction for end in got)
+                assert (energy_fractions(got)
+                        == fraction_energy(rest, counts, precision)), bits
 
     @pytest.mark.parametrize("precision", [Fraction(1, 10 ** 10),
                                            Fraction(1, 10 ** 60)])
@@ -459,10 +473,10 @@ class TestDyadicEnergySum:
         rng = random.Random(2440)
         for b in (24, 28, 32, 40):
             counts = tuple(rng.randint(1, 3) for _ in range(b))
-            blocks = tuple((k % 2, c) for k, c in enumerate(counts))
-            _, _, rest = spectra._nontrivial_parts(blocks)
-            assert spectra._energy_from_parts(rest, counts, precision) == (
-                fraction_energy(rest, counts, precision))
+            _, _, rest = spectra._nontrivial_parts(counts)
+            got = spectra._energy_from_parts(rest, counts, precision)
+            assert energy_fractions(got) == fraction_energy(rest, counts,
+                                                            precision)
 
 
 def sturm_above(rest):
@@ -495,9 +509,8 @@ class TestRootsAbove:
         rng = random.Random(1013)
         for n in range(2, 13):
             for bits in enumerate_connected(n):
-                blocks = to_blocks(bits)
-                counts = block_counts(blocks)
-                _, _, rest = spectra._nontrivial_parts(blocks)
+                counts = to_blocks(bits)
+                _, _, rest = spectra._nontrivial_parts(counts)
                 reference = sturm_above(rest)
                 assert spectra._roots_above(counts, 0, 1) == len(counts) // 2
                 points = [(a, 1) for a in range(1, 2 * n)]
@@ -517,7 +530,7 @@ class TestRootsAbove:
         # four zeros
         for sequence, values in (("0111", {3: 0, 2: 1}),
                                  ("00001", {2: 0, 1: 1})):
-            counts = block_counts(to_blocks(parse_sequence(sequence)))
+            counts = to_blocks(parse_sequence(sequence))
             for a, want in values.items():
                 assert spectra._roots_above(counts, a, 1) == want
                 assert spectra._roots_above(counts, 2 * a, 2) == want
