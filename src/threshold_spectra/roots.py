@@ -15,9 +15,11 @@ grid on which refinement would end, and exact signs at the cell ends
 and one count, at 0, certify the cells, so neither bisection nor
 refinement has anything left to do (`_float_cells`).  Where floats
 cannot tell, as for targets too deep for them, the route splits (0,
-bound) on the counter's counts instead.  Every enclosure is certified
-by exact signs: p has opposite signs at its two endpoints, which is
-checked for every isolating interval whichever route made it.
+bound) on the counter's counts instead.  Bisection on either route
+starts below Cauchy's bound where that skips only empty pieces
+(`_subdivide`).  Every enclosure is certified by exact signs: p has
+opposite signs at its two endpoints, which is checked for every
+isolating interval whichever route made it.
 Bisection is one pass: a midpoint that lands exactly on a root is
 divided out of the polynomial in place, as often as it divides, and the
 split goes on with the same counter, so the root is reported as one
@@ -157,11 +159,31 @@ def _variations(chain: list[Poly], num: int, den: int) -> int:
 
 
 def _pow2_root_bound(p: Poly) -> int:
-    """A power of two strictly exceeding the magnitude of every root."""
+    """A power of two strictly exceeding the magnitude of every root, by
+    Cauchy: the anchor of the grid on which refinement ends."""
     lead = abs(p[-1])
     biggest = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
     bound = 1 + -(-biggest // lead)
     return 1 << (bound - 1).bit_length()
+
+
+def _pow2_fujiwara_bound(p: Poly) -> int:
+    """The least power of two T >= 1 above Fujiwara's bound on every root,
+    2 max_k |a_(d-k) / a_d|^(1/k), the a_0 term halved, and at most
+    `_pow2_root_bound(p)`: T = 2^e is above it iff |a_d| 2^(ek) exceeds
+    2^k |a_(d-k)| (2^(d-1) |a_0| for k = d), so bit lengths fix each e up
+    to one and one comparison settles it.  T <= max(1, 4 d r) for the
+    largest root magnitude r."""
+    lead = abs(p[-1])
+    d = len(p) - 1
+    e = 0
+    for k in range(1, d + 1):
+        a = abs(p[d - k]) << (k - (k == d))
+        if lead << e * k <= a:
+            e = -(-(a.bit_length() - lead.bit_length()) // k)
+            if lead << e * k <= a:
+                e += 1
+    return min(1 << e, _pow2_root_bound(p))
 
 
 # Floats place a root on the target grid only when its cells are at least
@@ -411,6 +433,13 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     times, isolating intervals (lo, hi, den) each holding exactly one root
     of that reduced polynomial).
 
+    A half-line whose top piece, (0, bound) or (-bound, 0), counts two
+    or more roots starts at (0, T) or (-T, 0), T = `_pow2_fujiwara_bound`:
+    halving from bound would split each (0, 2^k), 2^k > T, at 2^(k-1),
+    no root, and find the upper half empty, so the pieces, exact roots and
+    intervals are the same.  A top piece with one root or none stays, so
+    its refinement ends on the grid keyed to bound.
+
     Roots in a piece (lo, hi] are counted as count(lo) - count(hi): the
     Sturm variations of g, a square-free factor, from one chain built
     before the split, or `above`, which counts the roots of g itself with
@@ -431,10 +460,14 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     bound = _pow2_root_bound(g)
     if c_zero is None:
         c_zero = count(0, 1)
-    stack = [(0, bound, 1, c_zero, count(bound, 1))]
+    c_top = count(bound, 1)
+    top = _pow2_fujiwara_bound(g)
+    stack = [(0, top if c_zero - c_top > 1 else bound, 1, c_zero, c_top)]
     if above is None:
+        c_bottom = count(-bound, 1)
         # popped last: the positive half is searched first in both modes
-        stack.insert(0, (-bound, 0, 1, count(-bound, 1), c_zero))
+        stack.insert(0, (-top if c_bottom - c_zero > 1 else -bound, 0, 1,
+                         c_bottom, c_zero))
     sep = _separation_exponent(g)
     exact: list[tuple[int, int, int]] = []
     found: list[tuple[int, int, int]] = []
@@ -654,12 +687,13 @@ def isolate_real_roots(p: Poly, width: Rational,
     and for every target whose cells are narrower than 2^-_FLOAT_BITS of
     a root, the factor goes to bisection instead, unchanged.  Bisection
     (`_subdivide`) splits on the Sturm counts or on the counts of
-    `above`: a dyadic midpoint that is a root is divided out of the
-    factor in place, as often as it divides, and reported as a point
-    with that multiplicity, while the split goes on; the left half next
-    to it takes count(mid) + k as its upper count, so the k divided
-    copies are never counted again.  A non-dyadic multiple root makes
-    the `above` route raise.
+    `above`, from Fujiwara's bound where halving from Cauchy's would
+    find nothing on the way: a dyadic midpoint that is a root is divided
+    out of the factor in place, as often as it divides, and reported as
+    a point with that multiplicity, while the split goes on; the left
+    half next to it takes count(mid) + k as its upper count, so the k
+    divided copies are never counted again.  A non-dyadic multiple root
+    makes the `above` route raise.
 
     Three guards stop a wrong count of `above` with ArithmeticError: a
     piece counted to hold one root whose endpoints show no sign change

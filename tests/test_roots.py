@@ -1,12 +1,16 @@
+import importlib.util
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import partial
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from threshold_spectra import roots, spectra
+from threshold_spectra.families import FamilyId, exact_energy_equal, family_pair
 from threshold_spectra.intpoly import (
     evaluate,
     mul,
@@ -940,3 +944,156 @@ class TestSturm:
         chain = sturm_chain((-5, 2))
         assert chain[0] == (-5, 2)
         assert len(chain) == 2
+
+
+def square_free_factors(p):
+    """The square-free factors of p with their roots at 0 stripped, as the
+    Sturm route hands them to `_subdivide`."""
+    for factor, _ in square_free_decomposition(p):
+        factor = factor[next(j for j, c in enumerate(factor) if c):]
+        if len(factor) > 1:
+            yield factor
+
+
+def subdivided(g, above):
+    """`_subdivide` on g, with every isolating interval in lowest terms."""
+    exact, reduced, intervals = roots._subdivide(g, above, None)
+    return exact, reduced, [roots._lowest_terms(*iv) for iv in intervals]
+
+
+def cauchy_start(monkeypatch):
+    """Start every bisection at Cauchy's bound, as plain halving would."""
+    monkeypatch.setattr(roots, "_pow2_fujiwara_bound", roots._pow2_root_bound)
+
+
+def deepprec_reference_forms(monkeypatch, seed=None):
+    """The energy-deepprec benchmark's reference sequences: every one, or
+    those one pass under `seed` queries, in its query order."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks"
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    refs = workloads.load_references()
+    if seed is None:
+        return [entry["sequence"]
+                for cell in refs["energy-deepprec"].values() for entry in cell]
+    return [(query.argv[1], Fraction(query.argv[3])) for query in
+            workloads.build_queries("energy-deepprec", seed, refs)]
+
+
+def family_members(top):
+    """Both members of both families for i = 1..top, as block counts."""
+    return [member for family in FamilyId for i in range(1, top + 1)
+            for member in (family_pair(family, i).g,
+                           family_pair(family, i).g_prime)]
+
+
+def least_pow2_above_fujiwara(p):
+    """The least power of two T >= 1 above Fujiwara's bound on the roots of
+    p, or Cauchy's power of two where that is less, by doubling T from 1
+    until (T/2)^k exceeds every |a_(d-k) / a_d|, the term of a_0 halved."""
+    d, lead = len(p) - 1, abs(p[-1])
+    ratios = [Fraction(abs(p[d - k]), lead) for k in range(1, d + 1)]
+    ratios[-1] /= 2
+    t = 1
+    while not all(Fraction(t, 2) ** k > r for k, r in enumerate(ratios, 1)):
+        t *= 2
+    return min(t, roots._pow2_root_bound(p))
+
+
+class TestFujiwaraStart:
+    """Bisection starts a half-line holding two or more roots at the
+    Fujiwara power of two, where halving from Cauchy's bound would arrive
+    through empty upper halves: the same roots and intervals, less work."""
+
+    def test_sturm_route_matches_the_cauchy_start(self, monkeypatch):
+        polys = seeded_polys_with_exact_roots(random.Random(1107), 60)
+        polys += MIGNOTTE
+        for n in range(2, 11):
+            for bits in enumerate_connected(n):
+                polys.append(mul(energy_parts(bits)[1], (0, 1, 1)))
+        factors = [f for p in polys for f in square_free_factors(p)]
+        got = [subdivided(f, None) for f in factors]
+        cauchy_start(monkeypatch)
+        assert got == [subdivided(f, None) for f in factors]
+
+    def test_counter_route_matches_the_cauchy_start(self, monkeypatch):
+        forms = [to_blocks(bits) for n in range(2, 11)
+                 for bits in enumerate_connected(n)]
+        forms += family_members(60)
+        forms += [to_blocks(parse_sequence(form))
+                  for form in deepprec_reference_forms(monkeypatch)]
+        cases = [(spectra._nontrivial_parts(counts)[2],
+                  partial(spectra._roots_above, counts)) for counts in forms]
+        got = [subdivided(rest, above) for rest, above in cases]
+        cauchy_start(monkeypatch)
+        assert got == [subdivided(rest, above) for rest, above in cases]
+
+    def test_certified_power_of_two(self):
+        rng = random.Random(1916)
+        polys = [(-1, 1), (1 << 3000, -(1 << 3000)),
+                 tuple(10 ** 400 * c for c in (-2, 0, 1)),
+                 mul((-(10 ** 400), 1), (3, 10 ** 350))]
+        for d in (1, 2, 3, 7, 16):
+            for c in (1, 2, 3, 1 << 40, 10 ** 30):
+                polys += [(-c,) + (0,) * (d - 1) + (1,),
+                          (c,) + (0,) * (d - 1) + (1,)]
+        for k in (0, 1, 5, 60):
+            for m in (1, 2, 3):
+                polys.append(poly_pow((-(1 << k), 1), m))
+                polys.append(poly_pow((1 << k, 1), m))
+        for _ in range(150):
+            d = rng.randint(1, 40)
+            size = 1 << rng.choice((3, 30, 200))
+            p = [rng.randint(-size, size) for _ in range(d)]
+            p[0] = p[0] or 1
+            lead = rng.randint(1, 1 << rng.choice((0, 10, 100)))
+            polys.append(tuple(p) + (rng.choice((-1, 1)) * lead,))
+        for p in polys:
+            top, bound = roots._pow2_fujiwara_bound(p), roots._pow2_root_bound(p)
+            assert top == least_pow2_above_fujiwara(p)
+            assert top & (top - 1) == 0 and 1 <= top <= bound
+            assert sign_at(p, top, 1) != 0 and sign_at(p, -top, 1) != 0
+            # a Sturm chain of degree 25 or more with 200-bit coefficients
+            # takes a second; the comparison above checks Fujiwara's bound
+            small = len(p) <= 25 or max(map(abs, p)).bit_length() <= 40
+            for factor in square_free_factors(p) if small else ():
+                chain = sturm_chain(factor)
+                for x, far in ((top, bound), (-top, -bound)):
+                    assert (roots._variations(chain, x, 1)
+                            == roots._variations(chain, far, 1))
+
+    def test_sturm_counts_of_the_family_checks(self, monkeypatch):
+        # Sturm's integer strips of `exact_energy_equal` on the 40 family
+        # pairs: 2,666 counts from Cauchy's bound, 734 from the Fujiwara one
+        calls, real = [0], roots._variations
+
+        def counted(chain, num, den):
+            calls[0] += 1
+            return real(chain, num, den)
+
+        monkeypatch.setattr(roots, "_variations", counted)
+        for family in FamilyId:
+            for i in range(1, 21):
+                pair = family_pair(family, i)
+                assert exact_energy_equal(pair.g, pair.g_prime) is True
+        assert calls[0] <= 734
+
+    def test_pivot_counts_of_deep_targets(self, monkeypatch):
+        # one energy-deepprec pass under seed 1, 126 queries at 1e-50,
+        # 1e-100 and 1e-200: 2,283 pivot counts from Cauchy's bound, 930
+        # from the Fujiwara one
+        queries = deepprec_reference_forms(monkeypatch, seed=1)
+        assert len(queries) == 126
+        calls, real = [0], spectra._roots_above
+
+        def counted(counts, num, den):
+            calls[0] += 1
+            return real(counts, num, den)
+
+        monkeypatch.setattr(spectra, "_roots_above", counted)
+        for form, precision in queries:
+            spectra.energy(parse_sequence(form), precision)
+        assert calls[0] <= 930

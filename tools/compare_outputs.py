@@ -39,6 +39,12 @@ gates:
                at 1e-12, 1e-13 and 1e-15: about where `_float_cells`
                declines (`_FLOAT_BITS`) and bisection and QIR take
                over, and past it
+  widecoeff    `info --json` and `energy --json` at 1e-12, 1e-60 and 1 on
+               both members of family four and six for i = 1..30 and on
+               10 seeded block forms each with B = 4, 6, 8 and 10 blocks
+               of 1-60 vertices: Cauchy's bound is 2^4 to 2^46 times
+               the largest root, so every bisection of two or more
+               roots starts far below it
   selftest     `selftest --json`
   human        the human output, without `--json`, of `info`, `energy`
                and `charpoly --oracle` on 20 seeded sequences with
@@ -98,6 +104,24 @@ def deep_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
     return forms
 
 
+def wide_forms() -> list[str]:
+    """Both members of family four and six for i = 1..30, and 10 connected
+    block forms each with B = 4, 6, 8 and 10 blocks of 1-60 vertices from
+    a fixed seed, as block expressions; the family counts are written out
+    here, not imported, like every other query."""
+    pairs = [((2 * i + 1, 3 * i + 3, 2 * i + 1, 2 * i),
+              (2 * i + 2, 3 * i, 2 * i + 1, 2 * i + 2)) for i in range(1, 31)]
+    pairs += [((1, 2 * i + 1, i, 2 * i + 2, 2 * i + 1, 2 * i),
+               (1, 2 * i, i + 1, 2 * i, 2 * i + 1, 2 * i + 2))
+              for i in range(1, 31)]
+    rng = random.Random(1916)
+    counts = [c for pair in pairs for c in pair]
+    counts += [[rng.randint(1, 60) for _ in range(b)]
+               for b in (4, 6, 8, 10) for _ in range(10)]
+    return [" ".join(f"{j % 2}^{c}" for j, c in enumerate(form))
+            for form in counts]
+
+
 def gates() -> list[tuple[str, list[str]]]:
     """(gate, argv) for every query, in the order they run."""
     queries = []
@@ -145,6 +169,11 @@ def gates() -> list[tuple[str, list[str]]]:
         for seq in connected_sequences(10):
             queries.append(("float-edge", ["info", seq, "--precision",
                                            precision, "--json"]))
+    for precision in ("1e-12", "1e-60", "1"):
+        for form in wide_forms():
+            for command in ("info", "energy"):
+                queries.append(("widecoeff", [command, form, "--precision",
+                                              precision, "--json"]))
     queries.append(("selftest", ["selftest", "--json"]))
     for seq in random.Random(1807).sample(connected_sequences(10), 20):
         for argv in (["info", seq], ["energy", seq],
