@@ -98,11 +98,13 @@ def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
     x^a (x+1)^y (x + shift) times the shared cubic (four-block) or quartic
     (six-block) factor.
 
-    (x+1)^y is written down as its binomial row C(y, 0), ..., C(y, y),
-    and (x + shift) multiplies it in one pass.  The engine's `char_poly`
-    builds the same numbers another way: `spectra._char_poly_from_parts`
-    multiplies the block formula's nontrivial factor by x + 1 once per
-    factor, one shift-add each, so comparing the two checks both.
+    (x+1)^y is written down as its binomial row from `math.comb`, the
+    first half C(y, 0), ..., C(y, y // 2) and the rest by C(y, k) =
+    C(y, y - k), and (x + shift) multiplies it in one pass.  The engine's
+    `char_poly` builds the same numbers another way:
+    `spectra._char_poly_from_parts` runs the multiply-divide recurrence
+    along the row and multiplies it into the block formula's nontrivial
+    factor, so comparing the two checks both.
     """
     if i < 1:
         raise ValueError(f"family parameter must be >= 1, got {i}")
@@ -121,7 +123,8 @@ def closed_form_char_poly(family: FamilyId, i: int, member: str) -> Poly:
             x_exp, y_exp, shift = 3 * i, 6 * i, 2 * i + 2
         else:
             x_exp, y_exp, shift = 3 * i - 1, 6 * i + 1, 2 * i + 1
-    row = [math.comb(y_exp, k) for k in range(y_exp + 1)]
+    row = [math.comb(y_exp, k) for k in range(y_exp // 2 + 1)]
+    row += row[:(y_exp + 1) // 2][::-1]
     # (x + 1)^y (x + shift)
     linear = ([shift] + [shift * b + a for a, b in zip(row, row[1:])]
               + [1])

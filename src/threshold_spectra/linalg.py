@@ -55,7 +55,8 @@ def charpoly(adjacency: list[list[int]]) -> Poly:
     """Monic characteristic polynomial det(xI - A) with exact coefficients.
 
     The input must be square and symmetric.  Determinants of tI - A are
-    evaluated at t = 0..n and interpolated.
+    evaluated at t = 0..n and interpolated; -A is built once and only its
+    diagonal is rewritten for each t.
     """
     n = len(adjacency)
     if any(len(row) != n for row in adjacency):
@@ -66,10 +67,11 @@ def charpoly(adjacency: list[list[int]]) -> Poly:
                 raise ValueError("adjacency matrix must be symmetric")
     if n == 0:
         return (1,)
+    shifted = [[-a for a in row] for row in adjacency]
     values = []
     for t in range(n + 1):
-        shifted = [[(t if i == j else 0) - adjacency[i][j] for j in range(n)]
-                   for i in range(n)]
+        for i in range(n):
+            shifted[i][i] = t - adjacency[i][i]
         values.append(bareiss_determinant(shifted))
     return _interpolate_at_integers(values)
 

@@ -290,14 +290,13 @@ def _nontrivial_parts(blocks: Blocks) -> tuple[int, int, Poly]:
 
 
 def _char_poly_from_parts(m0: int, m1: int, rest: Poly) -> Poly:
-    """The characteristic polynomial x^m0 (x+1)^m1 rest, multiplying by
-    x + 1 in place, one shift-add a factor."""
-    out = list(rest)
-    for _ in range(m1):
-        out.append(out[-1])
-        for i in range(len(out) - 2, 0, -1):
-            out[i] += out[i - 1]
-    return mul_xk(tuple(out), m0)
+    """The characteristic polynomial x^m0 (x+1)^m1 rest.  The binomial row
+    of (x+1)^m1 comes from C(m1, k+1) = C(m1, k) (m1 - k) / (k + 1) and is
+    multiplied into `rest`, O(m1 deg(rest)) products whatever m0."""
+    row = [1]
+    for k in range(m1):
+        row.append(row[-1] * (m1 - k) // (k + 1))
+    return mul_xk(mul(rest, tuple(row)), m0)
 
 
 def _eigen_enclosures(rest: Poly, precision: Fraction, m0: int, m1: int

@@ -174,6 +174,37 @@ class TestCharpoly:
                        for i in range(n)]
             assert evaluate(poly, t) == bareiss_determinant(shifted)
 
+    def test_matches_fraction_determinant_with_diagonal_entries(self):
+        rng = random.Random(1984)
+        for k in range(200):
+            n = k % 9 + 1
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.randint(-4, 4)
+                m[i][i] = rng.choice((-1, 1)) * rng.randint(1, 5)
+            m[k % n][k % n] = -rng.randint(1, 5)
+            poly = charpoly(m)
+            for t in range(-2, n + 3):
+                shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)]
+                           for i in range(n)]
+                assert evaluate(poly, t) == fraction_det(shifted), (m, t)
+
+    def test_arguments_left_unchanged(self):
+        rng = random.Random(2015)
+        for n in range(1, 8):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+            m[0][0] = 0
+            before = [row[:] for row in m]
+            rows = list(m)
+            charpoly(m)
+            bareiss_determinant(m)
+            assert m == before
+            assert all(a is b for a, b in zip(m, rows))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             charpoly([[0, 1], [0, 0]])

@@ -280,6 +280,23 @@ class TestCharPoly:
         assert spectra._char_poly_from_parts(m0, m1, rest) == expected
         assert spectra._char_poly_from_parts(0, 0, rest) == rest
 
+    def test_binomial_row_assembly_on_seeded_factors(self):
+        rng = random.Random(1001)
+        rests = []
+        for d in range(1, 31):
+            coeffs = [rng.choice((0, rng.randint(-(1 << 60), 1 << 60)))
+                      for _ in range(d)]
+            rests.append(tuple(coeffs) + (rng.choice((-1, 1))
+                                          * rng.randint(1, 1 << 60),))
+        assert all(0 in rest[1:-1] for rest in rests[5:])
+        for m1 in (0, 1, 2, 7, 64, 300, 1000):
+            power = poly_pow((1, 1), m1)
+            for rest in rests:
+                expected = mul(rest, power)
+                for m0 in (0, 5):
+                    got = spectra._char_poly_from_parts(m0, m1, rest)
+                    assert got == mul_xk(expected, m0), (m0, m1, rest)
+
     def test_single_extra_minus_one_iff_leading_singleton(self):
         for n in range(2, 9):
             for bits in enumerate_connected(n):

@@ -45,6 +45,11 @@ gates:
                of 1-60 vertices: Cauchy's bound is 2^4 to 2^46 times
                the largest root, so every bisection of two or more
                roots starts far below it
+  largeorder   `family four|six --i 50, 100, 200 --verify --json`, and
+               `charpoly --json` and `info --json` on (0^400 1^400),
+               (0^1 1^300 0^2 1^300) and 10 seeded block forms with 4-8
+               blocks of 50-300 vertices: multiplicities of -1 in the
+               hundreds, where (x+1)^m1 dominates the assembly
   selftest     `selftest --json`
   human        the human output, without `--json`, of `info`, `energy`
                and `charpoly --oracle` on 20 seeded sequences with
@@ -122,6 +127,18 @@ def wide_forms() -> list[str]:
             for form in counts]
 
 
+def large_forms() -> list[str]:
+    """(0^400 1^400), (0^1 1^300 0^2 1^300) and 10 connected block forms
+    with 4, 6 or 8 blocks of 50-300 vertices from a fixed seed, as block
+    expressions."""
+    rng = random.Random(2015_465)
+    counts = [(400, 400), (1, 300, 2, 300)]
+    counts += [[rng.randint(50, 300) for _ in range(rng.choice((4, 6, 8)))]
+               for _ in range(10)]
+    return [" ".join(f"{j % 2}^{c}" for j, c in enumerate(form))
+            for form in counts]
+
+
 def gates() -> list[tuple[str, list[str]]]:
     """(gate, argv) for every query, in the order they run."""
     queries = []
@@ -174,6 +191,13 @@ def gates() -> list[tuple[str, list[str]]]:
             for command in ("info", "energy"):
                 queries.append(("widecoeff", [command, form, "--precision",
                                               precision, "--json"]))
+    for family in ("four", "six"):
+        for i in (50, 100, 200):
+            queries.append(("largeorder", ["family", family, "--i", str(i),
+                                           "--verify", "--json"]))
+    for form in large_forms():
+        for command in ("charpoly", "info"):
+            queries.append(("largeorder", [command, form, "--json"]))
     queries.append(("selftest", ["selftest", "--json"]))
     for seq in random.Random(1807).sample(connected_sequences(10), 20):
         for argv in (["info", seq], ["energy", seq],
