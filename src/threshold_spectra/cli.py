@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -183,11 +184,19 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
     from . import hunt
     precision = _parse_precision(args.precision)
+    created = False
     if args.csv:
-        # fail on an unwritable path before the scan, leaving a file as is
+        # fail on an unwritable path before the scan, leaving a file as is;
+        # a file made here goes again if the scan fails
+        created = not os.path.lexists(args.csv)
         open(args.csv, "a").close()
-    result = hunt.full_scan(
-        args.n, precision, processes=args.jobs, allow_large=args.allow_large)
+    try:
+        result = hunt.full_scan(args.n, precision, processes=args.jobs,
+                                allow_large=args.allow_large)
+    except BaseException:
+        if created:
+            os.remove(args.csv)
+        raise
     if args.csv:
         _write_hunt_csv(args.csv, result)
     results = {

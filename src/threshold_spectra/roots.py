@@ -15,11 +15,12 @@ grid on which refinement would end, and exact signs at the cell ends
 and one count, at 0, certify the cells, so neither bisection nor
 refinement has anything left to do (`_float_cells`).  Where floats
 cannot tell, as for targets too deep for them, the route splits (0,
-bound) on the counter's counts instead.  Bisection on either route
-starts below Cauchy's bound where that skips only empty pieces
-(`_subdivide`).  Every enclosure is certified by exact signs: p has
-opposite signs at its two endpoints, which is checked for every
-isolating interval whichever route made it.
+bound) on the counter's counts instead.  The float pass starts at the
+power of two above Fujiwara's bound, and bisection on either route
+starts there too where halving from Cauchy's bound would skip only
+empty pieces (`_subdivide`).  Every enclosure is certified by exact
+signs: p has opposite signs at its two endpoints, which is checked for
+every isolating interval whichever route made it.
 Bisection is one pass: a midpoint that lands exactly on a root is
 divided out of the polynomial in place, as often as it divides, and the
 split goes on with the same counter, so the root is reported as one
@@ -331,16 +332,6 @@ class _Enclosure:
         self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
-def _fujiwara_bound(p: Poly) -> float:
-    """Fujiwara's bound on the magnitude of every root of p, in floats:
-    twice the largest |a_(d-k) / a_d|^(1/k), the term of a_0 halved.
-    Raises OverflowError for coefficients beyond float range."""
-    lead, *rest = [float(c) for c in reversed(p)]
-    ratios = [abs(c / lead) for c in rest]
-    ratios[-1] *= 0.5
-    return 2.0 * max(r ** (1.0 / k) for k, r in enumerate(ratios, 1))
-
-
 def _float_roots(p: Poly, start: float, limit: float
                  ) -> Optional[list[float]]:
     """The positive roots of p in descending order, found in floats by
@@ -348,8 +339,8 @@ def _float_roots(p: Poly, start: float, limit: float
     Introduction to Numerical Analysis, 5.5); None if floats cannot tell
     or a root is not below `limit`.
 
-    The first run starts at `start`, Fujiwara's bound on the magnitude of
-    every root (`_fujiwara_bound`).  Each later run starts 1e-3 relative
+    The first run starts at `start`, above every root: bisection's start,
+    `_pow2_fujiwara_bound`.  Each later run starts 1e-3 relative
     below the root found last and iterates on p divided by the roots found
     so far, which enter only as the terms 1/(x - z) and 1/(x - z)^2 of
     the logarithmic derivatives.  Those terms cancel against p'/p and
@@ -538,13 +529,12 @@ def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
 
     Returns None, for bisection to take over, where floats cannot tell:
     a bound beyond float range, a root above the float pass's limit
-    (where Fujiwara's bound reaches a limit below the bound, one count at
-    the limit decides before any float step), a float pass that returns
-    None or other than `count` roots, a root at or beyond `bound` or not
-    positive, a root whose cell is narrower than 2^-_FLOAT_BITS of it
-    (every root of a target too deep for floats), a walk that runs out or
-    leaves [0, bound], cells that coincide, or a total other than
-    `count`.
+    (where the start is above the limit, one count at the limit decides
+    before any float step), a float pass that returns None or other than
+    `count` roots, a root at or beyond `bound` or not positive, a root
+    whose cell is narrower than 2^-_FLOAT_BITS of it (every root of a
+    target too deep for floats), a walk that runs out or leaves [0,
+    bound], cells that coincide, or a total other than `count`.
     """
     wn, wd = width.numerator, width.denominator
     # s = floor(log2(width)), then at most log2(bound): cells are 2^s wide
@@ -565,13 +555,10 @@ def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
     # roots in (0, bound) whose cells are at least 2^-_FLOAT_BITS of them
     e = min(s + _FLOAT_BITS, bits)
     limit = ldexp(1.0, e)
-    try:
-        start = _fujiwara_bound(g)
-    except OverflowError:
-        return None
-    # no root reaches the bound, so only a lower limit needs the count
-    if (e < bits and start >= limit
-            and above(1 << max(e, 0), 1 << max(-e, 0))):
+    # every root lies below bisection's start, so only a limit below it
+    # needs the count
+    start = float(_pow2_fujiwara_bound(g))
+    if start > limit and above(1 << max(e, 0), 1 << max(-e, 0)):
         return None
     roots = _float_roots(g, start, limit)
     if roots is None or len(roots) != count:
@@ -674,26 +661,26 @@ def isolate_real_roots(p: Poly, width: Rational,
     of p.
 
     A root at 0 is stripped first and, without `above`, reported as a
-    point.  With `above`, floats come first (`_float_cells`): a float
-    pass finds the positive roots, and each goes to its cell of the
-    dyadic grid on (0, bound) whose cells are the widest that fit
-    `width`, where refinement ends.  Exact signs certify every cell, the
-    cells must be distinct, and their number plus the multiplicities of
-    the grid points found to be roots must equal above(0, 1), the only
-    count taken.  So each cell holds exactly one root and no other root
-    of p, which bisection would isolate no deeper than the grid and
-    refinement would end on the same cell: the enclosures are those of
-    the bisection route, number for number.  Where floats cannot tell,
-    and for every target whose cells are narrower than 2^-_FLOAT_BITS of
-    a root, the factor goes to bisection instead, unchanged.  Bisection
-    (`_subdivide`) splits on the Sturm counts or on the counts of
-    `above`, from Fujiwara's bound where halving from Cauchy's would
-    find nothing on the way: a dyadic midpoint that is a root is divided
-    out of the factor in place, as often as it divides, and reported as
-    a point with that multiplicity, while the split goes on; the left
-    half next to it takes count(mid) + k as its upper count, so the k
-    divided copies are never counted again.  A non-dyadic multiple root
-    makes the `above` route raise.
+    point.  With `above`, floats come first (`_float_cells`): a float pass
+    from the power of two above Fujiwara's bound finds the positive roots,
+    and each goes to its cell of the dyadic grid on (0, bound) whose cells
+    are the widest that fit `width`, where refinement ends.  Exact signs
+    certify every cell, the cells must be distinct, and their number plus
+    the multiplicities of the grid points found to be roots must equal
+    above(0, 1), the only count taken.  So each cell holds exactly one root
+    and no other root of p, which bisection would isolate no deeper than
+    the grid and refinement would end on the same cell: the enclosures are
+    those of the bisection route, number for number.  Where floats cannot
+    tell, and for every target whose cells are narrower than 2^-_FLOAT_BITS
+    of a root, the factor goes to bisection instead, unchanged.  Bisection
+    (`_subdivide`) splits on the Sturm counts or on the counts of `above`,
+    from that power of two where halving from Cauchy's bound would find
+    nothing on the way: a dyadic midpoint that is a root is divided out of
+    the factor in place, as often as it divides, and reported as a point
+    with that multiplicity, while the split goes on; the left half next to
+    it takes count(mid) + k as its upper count, so the k divided copies are
+    never counted again.  A non-dyadic multiple root makes the `above`
+    route raise.
 
     Three guards stop a wrong count of `above` with ArithmeticError: a
     piece counted to hold one root whose endpoints show no sign change

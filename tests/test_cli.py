@@ -309,6 +309,16 @@ class TestHunt:
         assert err == "error: scan failed\n"
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [["--n", "30"],
+                                      ["--n", "8", "--jobs", "0"]])
+    def test_bad_input_leaves_no_new_csv(self, tmp_path, argv):
+        path = tmp_path / "new.csv"
+        code, out, err = run_cli("hunt", *argv, "--csv", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.exists()
+
     def test_guard(self):
         code, _, err = run_cli("hunt", "--n", "30")
         assert code == 2

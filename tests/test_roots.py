@@ -861,9 +861,9 @@ class TestFloatRoute:
     def test_a_root_above_the_limit_declines_before_the_float_pass(
             self, monkeypatch):
         # cells of 2^-40 leave floats the roots below 2^(44 - 40) = 16;
-        # Fujiwara's bound is 22 or more for both polynomials, so the
-        # count at 16 decides: the root 100 declines without a float
-        # step, while 1 and 10 go to the float pass
+        # the float pass starts at 128 for the root 100, so the count at
+        # 16 decides and it declines without a float step, and at 16 for
+        # 1 and 10, so they go to the float pass with no count taken
         width = Fraction(1, 1 << 40)
         passes = []
 
@@ -873,17 +873,54 @@ class TestFloatRoute:
 
         monkeypatch.setattr(roots, "_float_roots", recorded)
         far = mul((-100, 1), (-1, 1))
-        assert roots._fujiwara_bound(far) >= 16
+        assert roots._pow2_fujiwara_bound(far) == 128
         assert roots._float_cells(far, 2, width, sturm_above(far)) is None
         assert passes == []
         assert (isolate_real_roots(far, width, sturm_above(far))
                 == bisected_roots(far, width, sturm_above(far)))
         assert passes == []
         near = mul((-10, 1), (-1, 1))
-        assert roots._fujiwara_bound(near) >= 16
-        assert roots._float_cells(near, 2, width,
-                                  sturm_above(near)) is not None
+        assert roots._pow2_fujiwara_bound(near) == 16
+        counts_taken = []
+
+        def counted(num, den):
+            counts_taken.append((num, den))
+            return sturm_above(near)(num, den)
+
+        assert roots._float_cells(near, 2, width, counted) is not None
         assert [limit for _, _, limit in passes] == [16.0]
+        assert counts_taken == []
+
+    def test_float_pass_starts_where_bisection_does(self, monkeypatch):
+        starts = []
+
+        def recorded(p, start, limit):
+            starts.append((p, start))
+            return REAL_FLOAT_ROOTS(p, start, limit)
+
+        monkeypatch.setattr(roots, "_float_roots", recorded)
+        for n in range(2, 11):
+            for bits in enumerate_connected(n):
+                counts, rest = energy_parts(bits)
+                del starts[:]
+                energy_roots(counts, rest, Fraction(1, 10 ** 10))
+                assert starts == [
+                    (rest, float(roots._pow2_fujiwara_bound(rest)))]
+
+    def test_one_count_per_many_block_form(self, monkeypatch):
+        # on each of these forms the start equals the limit, below which
+        # every root lies, so the count at 0 is the only one taken
+        calls, real = [0], spectra._roots_above
+
+        def counted(counts, num, den):
+            calls[0] += 1
+            return real(counts, num, den)
+
+        monkeypatch.setattr(spectra, "_roots_above", counted)
+        forms = seeded_block_forms(24, 20) + seeded_block_forms(26, 20)
+        for form in forms:
+            energy_roots(*energy_parts(form), Fraction(1, 10 ** 10))
+        assert calls[0] == len(forms)
 
     @pytest.mark.parametrize("float_pass", ["real", "none", "agrees"])
     def test_zero_count_raises(self, monkeypatch, float_pass):

@@ -273,7 +273,7 @@ class TestCharPoly:
 
     @pytest.mark.parametrize("text", ["(0^1 1^39)", "(0^20 1^20)",
                                       "(0^1 1^30)", "(0^3 1^1 0^2 1^1)"])
-    def test_in_place_assembly_with_large_multiplicities(self, text):
+    def test_binomial_row_assembly_with_large_multiplicities(self, text):
         m0, m1, rest = spectra._nontrivial_parts(
             to_blocks(parse_sequence(text)))
         expected = mul_xk(mul(rest, poly_pow((1, 1), m1)), m0)
