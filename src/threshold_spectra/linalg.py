@@ -1,8 +1,9 @@
-"""Exact integer linear algebra: fraction-free determinants and an
-interpolation-based characteristic polynomial.
+"""Exact integer linear algebra: fraction-free determinants and ranks,
+and an interpolation-based characteristic polynomial.
 
 This path never touches the block-sequence formula machinery, so it can
-cross-check it: det(xI - A) is sampled at the integer points 0..n and
+cross-check it: the multiplicities of 0 and -1 in det(xI - A) are read
+off two ranks, and the rest is sampled at consecutive integer points and
 recovered by Newton divided differences, in integers only.  On the
 consecutive points 0, 1, 2, ... level j of the divided-difference table
 holds Delta^j p(k) / j!, where p is the polynomial of least degree
@@ -17,7 +18,7 @@ integers, it would prove a wrong determinant.
 
 from __future__ import annotations
 
-from .intpoly import Poly, normalize
+from .intpoly import ONE, Poly, add, mul, mul_xk, normalize, poly_pow
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -25,38 +26,49 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    a = [row[:] for row in matrix]
+    return _eliminate([row[:] for row in matrix])[1]
+
+
+def _eliminate(a: list[list[int]]) -> tuple[int, int]:
+    """(rank, determinant) of the square integer matrix `a`, which is
+    overwritten.  A column with no nonzero entry at or below the pivot row
+    is skipped; each entry below the pivot rows is still the minor on the
+    pivot rows and columns and its own (Sylvester's identity), so every
+    division is exact."""
+    n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
+    rank = 0
+    for k in range(n):
+        row_k = a[rank]
+        if row_k[k] == 0:
+            for i in range(rank + 1, n):
                 if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                    a[rank], a[i] = a[i], row_k
+                    row_k = a[rank]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
+                continue
+        pivot = row_k[k]
+        for i in range(rank + 1, n):
             row_i = a[i]
-            row_k = a[k]
             factor = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        rank += 1
+    return rank, sign * prev if rank == n else 0
 
 
 def charpoly(adjacency: list[list[int]]) -> Poly:
     """Monic characteristic polynomial det(xI - A) with exact coefficients.
 
-    The input must be square and symmetric.  Determinants of tI - A are
-    evaluated at t = 0..n and interpolated; -A is built once and only its
-    diagonal is rewritten for each t.
+    The input must be square and symmetric: then the multiplicity of an
+    eigenvalue l is n - rank(A - lI), so det(xI - A) = x^m0 (x+1)^m1 r(x)
+    with m0, m1 read off two ranks.  r is monic of degree d = n - m0 - m1
+    with next coefficient -trace(A) - m1; its other coefficients come from
+    the determinants of tI - A at t = 1..d-1, divided by t^m0 (t+1)^m1.
     """
     n = len(adjacency)
     if any(len(row) != n for row in adjacency):
@@ -65,15 +77,29 @@ def charpoly(adjacency: list[list[int]]) -> Poly:
         for j in range(i + 1, n):
             if adjacency[i][j] != adjacency[j][i]:
                 raise ValueError("adjacency matrix must be symmetric")
-    if n == 0:
-        return (1,)
+    m0 = n - _eliminate([row[:] for row in adjacency])[0]
+    m1 = n - _eliminate([[a + (i == j) for j, a in enumerate(row)]
+                         for i, row in enumerate(adjacency)])[0]
+    d = n - m0 - m1
+    second = -sum(adjacency[i][i] for i in range(n)) - m1
     shifted = [[-a for a in row] for row in adjacency]
     values = []
-    for t in range(n + 1):
+    for t in range(1, d):
         for i in range(n):
             shifted[i][i] = t - adjacency[i][i]
-        values.append(bareiss_determinant(shifted))
-    return _interpolate_at_integers(values)
+        q, rem = divmod(bareiss_determinant(shifted), t ** m0 * (t + 1) ** m1)
+        if rem:
+            raise ArithmeticError("det(tI - A) not divisible by "
+                                  "t^m0 (t+1)^m1")
+        values.append(q - t ** d - second * t ** (d - 1))
+    # values are s(t) = r(t) - t^d - second t^(d-1) at t = 1..d-1; their
+    # interpolant is s(t + 1), shifted back here
+    low = list(_interpolate_at_integers(values))
+    for k in range(len(low) - 1):
+        for i in range(len(low) - 2, k - 1, -1):
+            low[i] -= low[i + 1]
+    rest = add(tuple(low), (0,) * (d - 1) + (second, 1)) if d else ONE
+    return mul_xk(mul(poly_pow((1, 1), m1), rest), m0)
 
 
 def _interpolate_at_integers(values: list[int]) -> Poly:
@@ -94,6 +120,8 @@ def _interpolate_at_integers(values: list[int]) -> Poly:
                 raise ArithmeticError(
                     "interpolation produced a non-integer coefficient")
             prev = cur
+    if not m:
+        return ()
     # Newton form to monomials: coeffs = coeffs * (x - i) + dd[i]
     coeffs = [dd[-1]]
     for i in range(m - 2, -1, -1):

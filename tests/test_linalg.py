@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from threshold_spectra import linalg
 from threshold_spectra.intpoly import (
     divide_exact,
     evaluate,
+    mul,
     normalize,
     poly_pow,
 )
 from threshold_spectra.linalg import (
+    _eliminate,
     _interpolate_at_integers,
     bareiss_determinant,
     charpoly,
@@ -43,6 +46,23 @@ def fraction_det(matrix):
     return int(det)
 
 
+def fraction_rank(matrix):
+    """Independent rank: row echelon form over Q."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    rank = 0
+    for k in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][k]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        for i in range(rank + 1, len(a)):
+            factor = a[i][k] / a[rank][k]
+            for j in range(k, len(a[0])):
+                a[i][j] -= factor * a[rank][j]
+        rank += 1
+    return rank
+
+
 def fraction_interpolate(values):
     """Reference interpolation: Newton divided differences over Q on the
     points 0, 1, 2, ..., expanded to monomials in Fractions."""
@@ -65,6 +85,36 @@ def fraction_interpolate(values):
     if any(c.denominator != 1 for c in coeffs):
         raise ArithmeticError("non-integer coefficient")
     return normalize(int(c) for c in coeffs)
+
+
+def fraction_charpoly(matrix):
+    """Reference det(tI - A): Fraction determinants at t = 0..n, then the
+    Fraction interpolation."""
+    n = len(matrix)
+    return fraction_interpolate(
+        [fraction_det([[(t if i == j else 0) - matrix[i][j] for j in range(n)]
+                       for i in range(n)]) for t in range(n + 1)])
+
+
+def random_symmetric(rng, n, low=-4, high=4):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.randint(low, high)
+    return m
+
+
+def twin_blocks(rng, sizes):
+    """A symmetric matrix of groups of twins with random integer entries
+    between groups: false twins (zero within the group) repeat a row of A
+    and give eigenvalue 0, true twins (one within the group) repeat a row
+    of A + I and give eigenvalue -1."""
+    true_twins = [rng.random() < 0.5 for _ in sizes]
+    group = [g for g, size in enumerate(sizes) for _ in range(size)]
+    between = random_symmetric(rng, len(sizes), -3, 3)
+    return [[0 if u == v else int(true_twins[gu]) if gu == gv
+             else between[gu][gv] for v, gv in enumerate(group)]
+            for u, gu in enumerate(group)]
 
 
 def determinant_values(bits):
@@ -109,6 +159,7 @@ class TestInterpolation:
     def test_one_point_is_a_constant(self):
         assert _interpolate_at_integers([-7]) == (-7,)
         assert _interpolate_at_integers([0]) == ()
+        assert _interpolate_at_integers([]) == ()
 
 
 class TestDeterminant:
@@ -135,6 +186,34 @@ class TestDeterminant:
     def test_zero_pivot_with_swap(self):
         m = [[0, 1, 3], [2, 0, 1], [4, 1, 2]]
         assert bareiss_determinant(m) == fraction_det(m)
+
+
+class TestRank:
+    def test_against_fraction_rank(self):
+        rng = random.Random(17011986)
+        for k in range(300):
+            n = k % 8 + 1
+            if k % 3:
+                # a product through r < n columns is rank-deficient
+                r = rng.randint(0, n - 1)
+                left = [[rng.randint(-3, 3) for _ in range(r)]
+                        for _ in range(n)]
+                right = [[rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(r)]
+                m = [[sum(left[i][s] * right[s][j] for s in range(r))
+                      for j in range(n)] for i in range(n)]
+            else:
+                m = [[rng.randint(-2, 2) for _ in range(n)]
+                     for _ in range(n)]
+            rank, det = _eliminate([row[:] for row in m])
+            assert rank == fraction_rank(m), m
+            assert det == fraction_det(m), m
+
+    def test_zero_columns_are_skipped(self):
+        m = [[0, 1, 2], [0, 2, 4], [0, 3, 7]]
+        assert _eliminate([row[:] for row in m]) == (2, 0)
+        assert _eliminate([[0] * 3 for _ in range(3)]) == (0, 0)
+        assert _eliminate([]) == (0, 1)
 
 
 class TestCharpoly:
@@ -216,5 +295,65 @@ class TestCharpoly:
     def test_complete_graph(self):
         n = 7
         poly = charpoly(adjacency_matrix((0,) + (1,) * (n - 1)))
-        from threshold_spectra.intpoly import mul
         assert poly == mul((-(n - 1), 1), poly_pow((1, 1), n - 1))
+
+    def test_random_symmetric_matrices_with_diagonals(self):
+        rng = random.Random(1915)
+        for k in range(150):
+            n = k % 9 + 1
+            m = random_symmetric(rng, n)
+            for i in range(n):
+                m[i][i] = rng.choice((-1, 1)) * rng.randint(1, 4)
+            assert charpoly(m) == fraction_charpoly(m), m
+
+    def test_twin_blocks(self):
+        rng = random.Random(2016)
+        for k in range(80):
+            sizes = [rng.randint(1, 4) for _ in range(k % 4 + 1)]
+            m = twin_blocks(rng, sizes)
+            assert charpoly(m) == fraction_charpoly(m), m
+
+    @pytest.mark.parametrize("m", [
+        [], [[0]], [[-1]], [[3]], [[0] * 4 for _ in range(4)],
+        [[-(i == j) for j in range(4)] for i in range(4)],
+        [[int(i != j) for j in range(6)] for i in range(6)],
+    ], ids=["empty", "zero-1", "minus-one-1", "three-1", "zero-4",
+            "minus-identity-4", "complete-6"])
+    def test_small_and_degenerate(self, m):
+        assert charpoly(m) == fraction_charpoly(m)
+
+    def test_wrong_determinant_raises(self, monkeypatch):
+        # m1 = 1 for 0011, so det(tI - A) at t = 1 must be even
+        real = linalg.bareiss_determinant
+        monkeypatch.setattr(linalg, "bareiss_determinant",
+                            lambda matrix: real(matrix) + 1)
+        with pytest.raises(ArithmeticError):
+            charpoly(adjacency_matrix(parse_sequence("0011")))
+
+    def test_determinants_of_the_corpus(self, monkeypatch):
+        # criterion 1's corpus, the 1,023 connected graphs with n <= 11:
+        # 11,263 determinants at t = 0..n, 4,097 once the ranks of A and
+        # A + I give the multiplicities of 0 and -1
+        calls, real = [0], linalg.bareiss_determinant
+
+        def counted(matrix):
+            calls[0] += 1
+            return real(matrix)
+
+        monkeypatch.setattr(linalg, "bareiss_determinant", counted)
+        for n in range(2, 12):
+            for bits in enumerate_connected(n):
+                charpoly(adjacency_matrix(bits))
+        assert calls[0] <= 4097
+
+    def test_smallest_oracle_query_calls_both_steps(self, monkeypatch):
+        # d = 2 for 0011: one determinant, one interpolation
+        calls = {}
+        for name in ("bareiss_determinant", "_interpolate_at_integers"):
+            def counted(*args, _real=getattr(linalg, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        charpoly(adjacency_matrix(parse_sequence("0011")))
+        assert calls == {"bareiss_determinant": 1,
+                         "_interpolate_at_integers": 1}

@@ -25,8 +25,10 @@ gates:
                class, so most members and class ids are rebuilt
   family       `family four|six --i 1..20 --verify --json`
   oracle       `charpoly --oracle --json` for every connected sequence
-               with n <= 11: criterion 1's corpus, the block formula
-               against the determinant polynomial
+               with n <= 11, criterion 1's corpus, and on 10 seeded block
+               forms with 2-8 blocks and 16-40 vertices, where 0 and -1
+               have high multiplicity: the block formula against the
+               determinant polynomial
   manyblocks   `energy --json` at 1e-10 and 1e-60 on 25 seeded block
                forms each with B = 14, 18, 24, 26, 32 and 40 blocks of
                1-3 vertices
@@ -95,18 +97,27 @@ def block_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
             for b in block_numbers for _ in range(per_b)]
 
 
+def cut_form(rng: random.Random, n: int, b: int) -> str:
+    """n vertices cut at random into b alternating blocks, starting with
+    0, as a block expression."""
+    cuts = [0] + sorted(rng.sample(range(1, n), b - 1)) + [n]
+    return " ".join(f"{j % 2}^{cuts[j + 1] - cuts[j]}" for j in range(b))
+
+
 def deep_forms(block_numbers: tuple[int, ...], per_b: int) -> list[str]:
     """`per_b` connected block forms for each number of blocks B, with
     36-60 vertices in all, as block expressions from a fixed seed."""
     rng = random.Random(2015)
-    forms = []
-    for b in block_numbers:
-        for _ in range(per_b):
-            n = rng.randint(36, 60)
-            cuts = [0] + sorted(rng.sample(range(1, n), b - 1)) + [n]
-            forms.append(" ".join(f"{j % 2}^{cuts[j + 1] - cuts[j]}"
-                                  for j in range(b)))
-    return forms
+    return [cut_form(rng, rng.randint(36, 60), b)
+            for b in block_numbers for _ in range(per_b)]
+
+
+def oracle_forms() -> list[str]:
+    """10 connected block forms with 2, 4, 6 or 8 blocks and 16-40
+    vertices, as block expressions from a fixed seed."""
+    rng = random.Random(2018)
+    return [cut_form(rng, rng.randint(16, 40), 2 * rng.randint(1, 4))
+            for _ in range(10)]
 
 
 def wide_forms() -> list[str]:
@@ -167,7 +178,7 @@ def gates() -> list[tuple[str, list[str]]]:
         for i in range(1, 21):
             queries.append(("family", ["family", family, "--i", str(i),
                                        "--verify", "--json"]))
-    for seq in connected_sequences(11):
+    for seq in connected_sequences(11) + oracle_forms():
         queries.append(("oracle", ["charpoly", seq, "--oracle", "--json"]))
     forms = block_forms((14, 18, 24, 26, 32, 40), 25)
     for precision in ("1e-10", "1e-60"):
