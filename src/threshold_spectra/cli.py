@@ -109,23 +109,23 @@ def _emit_human(results: dict, out: TextIO, indent: str = "") -> None:
             out.write(f"{indent}{key}: {value}\n")
 
 
-def _parse_precision(text: str) -> Fraction:
+def _parse_positive(text: str, name: str) -> Fraction:
     value = parse_exact_decimal(text)
     if value <= 0:
-        raise ValueError(f"precision must be positive, got {text}")
+        raise ValueError(f"{name} must be positive, got {text}")
     return value
 
 
-def _cmd_info(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_info(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     bits = parse_sequence(args.sequence)
-    precision = _parse_precision(args.precision)
+    precision = _parse_positive(args.precision, "precision")
     summary = spectra.spectral_summary(bits, precision)
     record = summary.to_record()
     record["edges"] = edge_count(bits)
     return record, 0
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_charpoly(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     bits = parse_sequence(args.sequence)
     formula = spectra.char_poly_of_sequence(bits)
     results = {
@@ -144,9 +144,9 @@ def _cmd_charpoly(args: argparse.Namespace) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_energy(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_energy(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     bits = parse_sequence(args.sequence)
-    precision = _parse_precision(args.precision)
+    precision = _parse_positive(args.precision, "precision")
     lo, hi = spectra.energy(bits, precision)
     results = {
         "sequence": format_sequence(bits),
@@ -161,14 +161,14 @@ def _cmd_energy(args: argparse.Namespace) -> tuple[dict, int]:
     return results, 0
 
 
-def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_family(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     from . import families
     family = families.FamilyId(args.family)
     pair = families.family_pair(family, args.i)
     results = pair.to_record()
     code = 0
     if args.verify:
-        tol = _parse_precision(args.tol)
+        tol = _parse_positive(args.tol, "tolerance")
         report = families.verify_family(family, args.i, tol)
         results["verification"] = report.to_record()
         if not report.ok:
@@ -181,9 +181,9 @@ def _cmd_family(args: argparse.Namespace) -> tuple[dict, int]:
     return results, code
 
 
-def _cmd_hunt(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_hunt(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     from . import hunt
-    precision = _parse_precision(args.precision)
+    precision = _parse_positive(args.precision, "precision")
     created = False
     if args.csv:
         # fail on an unwritable path before the scan, leaving a file as is;
@@ -286,6 +286,12 @@ def _cmd_selftest(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     return record, 1 if failed else 0
 
 
+# every handler takes the stream that `selftest` writes its lines to
+_COMMANDS = {"info": _cmd_info, "charpoly": _cmd_charpoly,
+             "energy": _cmd_energy, "family": _cmd_family,
+             "hunt": _cmd_hunt, "selftest": _cmd_selftest}
+
+
 def run(argv: Sequence[str], out: Optional[TextIO] = None,
         err: Optional[TextIO] = None) -> int:
     """Execute one command; returns the process exit code."""
@@ -298,20 +304,7 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        if args.command == "info":
-            results, code = _cmd_info(args)
-        elif args.command == "charpoly":
-            results, code = _cmd_charpoly(args)
-        elif args.command == "energy":
-            results, code = _cmd_energy(args)
-        elif args.command == "family":
-            results, code = _cmd_family(args)
-        elif args.command == "hunt":
-            results, code = _cmd_hunt(args)
-        elif args.command == "selftest":
-            results, code = _cmd_selftest(args, out)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        results, code = _COMMANDS[args.command](args, out)
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2

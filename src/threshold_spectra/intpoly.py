@@ -141,17 +141,15 @@ def primitive_part(p: Poly) -> Poly:
 def _pseudo_rem(f: Poly, g: Poly) -> tuple[Poly, int]:
     """Pseudo-remainder of f by g and the number of scaling steps.
 
-    Returns (r, s) with lc(g)^s * (f mod g) = r over the rationals.
+    Returns (r, s) with lc(g)^s * (f mod g) = r over the rationals.  g must
+    be nonzero and f must have no trailing zero, so that every step starts
+    from a nonzero leading coefficient of r.
     """
     r = list(f)
     dg = degree(g)
     lg = g[-1]
     steps = 0
-    while len(r) - 1 >= dg and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dg:
-            break
+    while len(r) - 1 >= dg:
         shift = len(r) - 1 - dg
         top = r[-1]
         r = [lg * c for c in r]

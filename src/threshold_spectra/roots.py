@@ -45,7 +45,6 @@ from typing import Callable, Optional, Union
 
 from .intpoly import (
     Poly,
-    degree,
     derivative,
     divide_exact,
     mul_scalar,
@@ -134,8 +133,6 @@ def sturm_chain(g: Poly) -> list[Poly]:
     chain = [g, derivative(g)]
     while chain[-1]:
         prev, cur = chain[-2], chain[-1]
-        if degree(cur) < 0:
-            break
         rem, steps = _pseudo_rem(prev, cur)
         if not rem:
             break
@@ -434,24 +431,27 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     Roots in a piece (lo, hi] are counted as count(lo) - count(hi): the
     Sturm variations of g, a square-free factor, from one chain built
     before the split, or `above`, which counts the roots of g itself with
-    multiplicity.  A midpoint that can be a root of g, because its reduced
-    denominator divides the leading coefficient (rational root theorem:
-    only integers when g is monic), is tested with `sign_at`.  A zero is
-    divided out of g in place, k times if it divides k times, and the
-    split goes on.  The counts stay those of the undivided polynomial: a
-    count at a point counts only the roots above it, so the right child
-    (mid, hi] never sees the divided root, and the left child (lo, mid]
-    takes count(mid) + k as its upper count, so it does not either.  A
-    piece that counts two or more roots although it is narrower than the
-    separation bound raises ArithmeticError, so a wrong count or a
-    multiple root cannot make the split run forever.
+    multiplicity.  The top pieces take Sturm counts at -bound, 0 and
+    bound, but `above` only at 0: it counts the roots above a point, and
+    none lies above bound, so its count there is 0.  A midpoint that can
+    be a root of g, because its reduced denominator divides the leading
+    coefficient (rational root theorem: only integers when g is monic),
+    is tested with `sign_at`.  A zero is divided out of g in place, k
+    times if it divides k times, and the split goes on.  The counts stay
+    those of the undivided polynomial: a count at a point counts only the
+    roots above it, so the right child (mid, hi] never sees the divided
+    root, and the left child (lo, mid] takes count(mid) + k as its upper
+    count, so it does not either.  A piece that counts two or more roots
+    although it is narrower than the separation bound raises
+    ArithmeticError, so a wrong count or a multiple root cannot make the
+    split run forever.
     """
     count = (above if above is not None
              else partial(_variations, sturm_chain(g)))
     bound = _pow2_root_bound(g)
     if c_zero is None:
         c_zero = count(0, 1)
-    c_top = count(bound, 1)
+    c_top = 0 if above is not None else count(bound, 1)
     top = _pow2_fujiwara_bound(g)
     stack = [(0, top if c_zero - c_top > 1 else bound, 1, c_zero, c_top)]
     if above is None:

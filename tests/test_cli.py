@@ -220,6 +220,15 @@ class TestFamily:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-3"])
+    def test_nonpositive_tolerance_names_the_tolerance(self, tol):
+        # "=" keeps argparse from reading "-1e-3" as an option
+        code, out, err = run_cli("family", "four", "--i", "1", "--verify",
+                                 f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance must be positive, got {tol}\n"
+
 
 class TestHunt:
     def test_small_order(self):
@@ -347,7 +356,7 @@ class TestSelftest:
 
     def test_unknown_criterion(self):
         # an empty list would check nothing and must not report success
-        for criteria in ("99", ",", ""):
+        for criteria in ("99", ",", "", "1,x"):
             code, out, err = run_cli("selftest", "--criteria", criteria)
             assert code == 2
             assert out == ""

@@ -922,6 +922,23 @@ class TestFloatRoute:
             energy_roots(*energy_parts(form), Fraction(1, 10 ** 10))
         assert calls[0] == len(forms)
 
+    def test_floats_out_of_range_decline(self):
+        # Cauchy's bound is 2^1101, 2^1101 and 2^1033 for the first three,
+        # past the largest float, so bisection takes them before any float
+        # step; the last, with roots 1, about -2^1000 and about -2^-1000,
+        # starts its float pass at 2^1001, where Horner's value overflows
+        # and the Laguerre step is undefined
+        width = Fraction(1, 10 ** 6)
+        for p in (mul((-(1 << 1100), 1), (-1, 1)),
+                  mul((-3, 2), (-(1 << 1100) - 1, 1)),
+                  mul(mul((-5, 1), (-(1 << 1030), 1)),
+                      (-(1 << 40) - 1, 1 << 40)),
+                  mul((-1, 1), (1, 1 << 1000, 1))):
+            above = sturm_above(p)
+            assert roots._float_cells(p, above(0, 1), width, above) is None
+            assert (isolate_real_roots(p, width, above)
+                    == bisected_roots(p, width, above))
+
     @pytest.mark.parametrize("float_pass", ["real", "none", "agrees"])
     def test_zero_count_raises(self, monkeypatch, float_pass):
         # x^2 - 2 changes sign on (0, infinity): no even count can be right
@@ -1121,7 +1138,7 @@ class TestFujiwaraStart:
     def test_pivot_counts_of_deep_targets(self, monkeypatch):
         # one energy-deepprec pass under seed 1, 126 queries at 1e-50,
         # 1e-100 and 1e-200: 2,283 pivot counts from Cauchy's bound, 930
-        # from the Fujiwara one
+        # from the Fujiwara one, 804 with no count taken at Cauchy's bound
         queries = deepprec_reference_forms(monkeypatch, seed=1)
         assert len(queries) == 126
         calls, real = [0], spectra._roots_above
@@ -1133,4 +1150,20 @@ class TestFujiwaraStart:
         monkeypatch.setattr(spectra, "_roots_above", counted)
         for form, precision in queries:
             spectra.energy(parse_sequence(form), precision)
-        assert calls[0] <= 930
+        assert calls[0] <= 804
+
+    def test_counter_route_takes_no_count_at_cauchys_bound(self,
+                                                           monkeypatch):
+        # no root lies above Cauchy's bound, so a counter's count there is
+        # 0 and bisection does not ask for it
+        for form in deepprec_reference_forms(monkeypatch):
+            counts, rest = energy_parts(form)
+            taken = []
+
+            def recorded(num, den):
+                taken.append((num, den))
+                return spectra._roots_above(counts, num, den)
+
+            roots._subdivide(rest, recorded, None)
+            assert taken[0] == (0, 1)
+            assert (roots._pow2_root_bound(rest), 1) not in taken
