@@ -31,7 +31,7 @@ from typing import Callable
 from . import families, linalg, spectra
 from .intpoly import (
     Poly,
-    divide_exact,
+    divide_out,
     format_poly,
     mul,
     mul_xk,
@@ -98,16 +98,6 @@ def _corpus(max_n: int) -> tuple[tuple[tuple[int, ...], Poly, Poly], ...]:
     return tuple(rows)
 
 
-def _root_multiplicity(p: Poly, divisor: Poly) -> int:
-    count = 0
-    while True:
-        quotient = divide_exact(p, divisor)
-        if quotient is None:
-            return count
-        p = quotient
-        count += 1
-
-
 @_criterion(1, "formula-vs-determinant-oracle")
 def criterion_1() -> tuple[bool, str]:
     """Block formula equals the determinant polynomial on the full corpus."""
@@ -132,8 +122,8 @@ def criterion_2() -> tuple[bool, str]:
         blocks = to_blocks(bits)
         want0 = spectra.multiplicity_zero(blocks)
         want1 = spectra.multiplicity_minus_one(blocks)
-        got0 = _root_multiplicity(oracle, (0, 1))
-        got1 = _root_multiplicity(oracle, (1, 1))
+        got0 = divide_out(oracle, 0, 1)[1]
+        got1 = divide_out(oracle, -1, 1)[1]
         if (want0, want1) != (got0, got1):
             bad += 1
             if not first:

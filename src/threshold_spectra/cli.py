@@ -165,10 +165,10 @@ def _cmd_family(args: argparse.Namespace, out: TextIO) -> tuple[dict, int]:
     from . import families
     family = families.FamilyId(args.family)
     pair = families.family_pair(family, args.i)
+    tol = _parse_positive(args.tol, "tolerance")
     results = pair.to_record()
     code = 0
     if args.verify:
-        tol = _parse_positive(args.tol, "tolerance")
         report = families.verify_family(family, args.i, tol)
         results["verification"] = report.to_record()
         if not report.ok:
@@ -305,27 +305,35 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     started = time.perf_counter()
     try:
         results, code = _COMMANDS[args.command](args, out)
+        record = {
+            "command": args.command,
+            "inputs": {key: value for key, value in vars(args).items()
+                       if key not in ("command", "json")},
+            "results": results,
+            "version": __version__,
+            "timing_seconds": round(time.perf_counter() - started, 6),
+        }
+        if args.command != "selftest" or args.json:
+            _emit(record, args.json, out)
+        # a stream closed early fails here, not at the interpreter's exit
+        out.flush()
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except ArithmeticError as exc:
         err.write(f"error: {exc}\n")
         return 1
-    record = {
-        "command": args.command,
-        "inputs": {key: value for key, value in vars(args).items()
-                   if key not in ("command", "json")},
-        "results": results,
-        "version": __version__,
-        "timing_seconds": round(time.perf_counter() - started, 6),
-    }
-    if args.command != "selftest" or args.json:
-        _emit(record, args.json, out)
     return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # run has reported it; the exit-time flush would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,11 @@ from typing import Optional, Union
 
 from .intpoly import (
     Poly,
-    divide_exact,
+    divide_out,
     evaluate,
     format_poly,
     mul,
     mul_xk,
-    poly_pow,
 )
 from .roots import RootEnclosure, isolate_real_roots
 from .sequences import Blocks, format_blocks, from_blocks
@@ -138,14 +137,20 @@ def _strip_integer_roots(p: Poly) -> tuple[int, Poly]:
     Every real root of p is isolated in a certified closed enclosure at
     most 1/2 wide, which holds at most one integer, ceil(lo), in integers
     from its numerators; one exact evaluation decides whether it is a root.
+    Raises ArithmeticError where x - r divides a different number of times
+    than the enclosure's multiplicity.
     """
     total = 0
     rest = p
     for enc in isolate_real_roots(p, Fraction(1, 2)):
         r = -(-enc.lo_num // enc.den)
         if r * enc.den <= enc.hi_num and evaluate(p, r) == 0:
-            total += abs(r) * enc.multiplicity
-            rest = divide_exact(rest, poly_pow((-r, 1), enc.multiplicity))
+            rest, times = divide_out(rest, r, 1)
+            if times != enc.multiplicity:
+                raise ArithmeticError(
+                    f"the root {r} has multiplicity {times}, its enclosure "
+                    f"counts {enc.multiplicity}")
+            total += abs(r) * times
     return total, rest
 
 

@@ -58,12 +58,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return tuple(out)
 
 
-def mul_scalar(p: Poly, c: int) -> Poly:
-    if c == 0:
-        return ZERO
-    return tuple(c * a for a in p)
-
-
 def mul_xk(p: Poly, k: int) -> Poly:
     """Multiply by x^k."""
     if not p:
@@ -120,6 +114,17 @@ def divide_exact(p: Poly, d: Poly) -> Optional[Poly]:
     if any(rem):
         return None
     return normalize(quot)
+
+
+def divide_out(p: Poly, num: int, den: int) -> tuple[Poly, int]:
+    """(q, k) with p = (den x - num)^k q and q not divisible by den x - num
+    over the integers; p must be nonzero, as every power divides 0."""
+    if not p:
+        raise ValueError("the zero polynomial is divided by every power")
+    times = 0
+    while (quotient := divide_exact(p, (-num, den))) is not None:
+        p, times = quotient, times + 1
+    return p, times
 
 
 def content(p: Poly) -> int:

@@ -5,7 +5,7 @@ This path never touches the block-sequence formula machinery, so it can
 cross-check it: the multiplicities of 0 and -1 in det(xI - A) are read
 off two ranks, and the rest is sampled at consecutive integer points and
 recovered by Newton divided differences, in integers only.  On the
-consecutive points 0, 1, 2, ... level j of the divided-difference table
+consecutive points 1, 2, 3, ... level j of the divided-difference table
 holds Delta^j p(k) / j!, where p is the polynomial of least degree
 through the points.  That is an integer at every integer k whenever p has
 integer coefficients: p is then an integer combination of the falling
@@ -92,18 +92,14 @@ def charpoly(adjacency: list[list[int]]) -> Poly:
             raise ArithmeticError("det(tI - A) not divisible by "
                                   "t^m0 (t+1)^m1")
         values.append(q - t ** d - second * t ** (d - 1))
-    # values are s(t) = r(t) - t^d - second t^(d-1) at t = 1..d-1; their
-    # interpolant is s(t + 1), shifted back here
-    low = list(_interpolate_at_integers(values))
-    for k in range(len(low) - 1):
-        for i in range(len(low) - 2, k - 1, -1):
-            low[i] -= low[i + 1]
-    rest = add(tuple(low), (0,) * (d - 1) + (second, 1)) if d else ONE
+    # values are r(t) - t^d - second t^(d-1) at t = 1..d-1
+    low = _interpolate_at_integers(values)
+    rest = add(low, (0,) * (d - 1) + (second, 1)) if d else ONE
     return mul_xk(mul(poly_pow((1, 1), m1), rest), m0)
 
 
 def _interpolate_at_integers(values: list[int]) -> Poly:
-    """Polynomial through the points (0, v0), (1, v1), ... as exact integers.
+    """Polynomial through the points (1, v1), (2, v2), ... as exact integers.
 
     Raises ArithmeticError where that polynomial has a non-integer
     coefficient, which a nonzero remainder of some level's division
@@ -122,10 +118,10 @@ def _interpolate_at_integers(values: list[int]) -> Poly:
             prev = cur
     if not m:
         return ()
-    # Newton form to monomials: coeffs = coeffs * (x - i) + dd[i]
+    # Newton form to monomials: coeffs = coeffs * (x - i) + dd[i - 1]
     coeffs = [dd[-1]]
-    for i in range(m - 2, -1, -1):
-        coeffs = ([dd[i] - i * coeffs[0]]
+    for i in range(m - 1, 0, -1):
+        coeffs = ([dd[i - 1] - i * coeffs[0]]
                   + [a - i * b for a, b in zip(coeffs, coeffs[1:])]
                   + [coeffs[-1]])
     return normalize(coeffs)

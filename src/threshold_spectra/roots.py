@@ -39,15 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isfinite, ldexp, sqrt
+from math import isfinite, ldexp, sqrt
 from sys import float_info
 from typing import Callable, Optional, Union
 
 from .intpoly import (
     Poly,
     derivative,
-    divide_exact,
-    mul_scalar,
+    divide_out,
+    neg,
     primitive_part,
     _pseudo_rem,
     square_free_decomposition,
@@ -139,7 +139,7 @@ def sturm_chain(g: Poly) -> list[Poly]:
         # rem = lc(cur)^steps * true remainder; flip to minus the true
         # remainder without introducing a negative scale factor.
         lead_sign = 1 if (cur[-1] > 0 or steps % 2 == 0) else -1
-        chain.append(primitive_part(mul_scalar(rem, -lead_sign)))
+        chain.append(primitive_part(neg(rem) if lead_sign > 0 else rem))
     return chain
 
 
@@ -476,12 +476,10 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
                 "the root separation bound")
         lo2, hi2, den2 = lo << 1, hi << 1, den << 1
         mid = (lo2 + hi2) >> 1
-        common = gcd(mid, den2)
-        num, root_den = mid // common, den2 // common
+        num, _, root_den = _lowest_terms(mid, mid, den2)
         k = 0
         if g[-1] % root_den == 0 and sign_at(g, mid, den2) == 0:
-            while (reduced := divide_exact(g, (-num, root_den))) is not None:
-                g, k = reduced, k + 1
+            g, k = divide_out(g, num, root_den)
             exact.append((num, root_den, k))
         cmid = count(mid, den2)
         stack.append((lo2, mid, den2, clo, cmid + k))
@@ -589,11 +587,8 @@ def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
         else:
             return None
         if u == 0:
-            common = gcd(x * step, den)
-            num, root_den = x * step // common, den // common
-            k = 0
-            while (reduced := divide_exact(g, (-num, root_den))) is not None:
-                g, k = reduced, k + 1
+            num, _, root_den = _lowest_terms(x * step, x * step, den)
+            g, k = divide_out(g, num, root_den)
             exact.append((num, root_den, k))
             stale = len(cells)
             continue

@@ -26,6 +26,19 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
+def cli_process(*argv, stdout=subprocess.PIPE):
+    """`python -m threshold_spectra.cli argv`, stderr piped, stdout
+    block-buffered as it is by default on a pipe."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.Popen(
+        [sys.executable, "-m", "threshold_spectra.cli", *argv], env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
 class TestInfo:
     def test_ten_vertex_example(self):
         code, record, _ = run_json("info", "(0^2 1^3 0^3 1^2)")
@@ -229,6 +242,14 @@ class TestFamily:
         assert out == ""
         assert err == f"error: tolerance must be positive, got {tol}\n"
 
+    @pytest.mark.parametrize("tol", ["0", "abc"])
+    def test_bad_tolerance_without_verify(self, tol):
+        code, out, err = run_cli("family", "four", "--i", "1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert err == run_cli("family", "four", "--i", "1", "--verify",
+                              "--tol", tol)[2]
+
 
 class TestHunt:
     def test_small_order(self):
@@ -390,16 +411,34 @@ class TestContract:
 
     def test_module_entry_point(self):
         # `python -m threshold_spectra.cli` runs the command line
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "threshold_spectra.cli", "energy", "01",
-             "--precision", "0"],
-            env=env, capture_output=True, text=True, timeout=60)
+        proc = cli_process("energy", "01", "--precision", "0")
+        out, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")]
-        assert proc.stderr.startswith("error:")
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:")
+
+    def test_stdout_closed_early(self):
+        # the record is about 470 KB, far more than a pipe holds, so the
+        # write is still going on when the reader closes after one line
+        proc = cli_process("charpoly", "0^1000 1^1000", "--json")
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:")
+
+    def test_stdout_closed_before_the_first_write(self):
+        # a pipe with no reader: the short record is still buffered when
+        # its flush fails, and the exit-time flush must not fail again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process("energy", "01", "--json", stdout=write_end)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:")

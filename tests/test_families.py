@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from threshold_spectra.intpoly import (
     mul_xk,
     poly_pow,
 )
+from threshold_spectra.roots import isolate_real_roots
 from threshold_spectra.sequences import enumerate_connected, from_blocks, to_blocks
 from threshold_spectra.spectra import _nontrivial_parts, char_poly
 
@@ -239,6 +241,16 @@ class TestIntegerRootStripping:
             calls.clear()
             _strip_integer_roots(rest)
             assert 1 <= len(calls) <= degree(rest)
+
+    def test_multiplicity_that_does_not_divide_raises(self, monkeypatch):
+        # (x + 1)(x + 2)(x + 3) with every multiplicity reported as 2
+        def doubled(p, width):
+            return [replace(enc, multiplicity=2)
+                    for enc in isolate_real_roots(p, width)]
+
+        monkeypatch.setattr(families, "isolate_real_roots", doubled)
+        with pytest.raises(ArithmeticError):
+            _strip_integer_roots(mul(mul((1, 1), (2, 1)), (3, 1)))
 
     def test_exact_equality_at_large_parameter(self):
         for fam in FamilyId:

@@ -9,6 +9,7 @@ from threshold_spectra.intpoly import (
     degree,
     derivative,
     divide_exact,
+    divide_out,
     evaluate,
     format_poly,
     gcd,
@@ -107,6 +108,41 @@ class TestDivision:
     def test_non_monic_exactness(self):
         assert divide_exact((2, 4), (1, 2)) == (2,)
         assert divide_exact((1, 3), (1, 2)) is None
+
+
+class TestDivideOut:
+    def test_double_dyadic_root(self):
+        # (2x - 3)^2 (x + 1)
+        p = mul(poly_pow((-3, 2), 2), (1, 1))
+        assert divide_out(p, 3, 2) == ((1, 1), 2)
+
+    def test_non_root_leaves_p_unchanged(self):
+        p = mul(poly_pow((-3, 2), 2), (1, 1))
+        assert divide_out(p, 1, 1) == (p, 0)
+        assert divide_out(p, 3, 4) == (p, 0)
+
+    def test_root_zero(self):
+        # x^3 (x^2 - 2)
+        p = mul_xk((-2, 0, 1), 3)
+        assert divide_out(p, 0, 1) == ((-2, 0, 1), 3)
+        assert divide_out((-2, 0, 1), 0, 1) == ((-2, 0, 1), 0)
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            divide_out((), 1, 1)
+
+    def test_agrees_with_repeated_division(self):
+        rng = random.Random(2015465)
+        for _ in range(200):
+            num, den = rng.randint(-9, 9), rng.randint(1, 8)
+            k = rng.randint(0, 4)
+            rest = random_poly(rng, max_deg=4) or (1,)
+            p = mul(poly_pow((-num, den), k), rest)
+            q, times = p, 0
+            while (step := divide_exact(q, (-num, den))) is not None:
+                q, times = step, times + 1
+            assert divide_out(p, num, den) == (q, times)
+            assert times >= k
 
 
 class TestRingLaws:

@@ -63,9 +63,9 @@ def fraction_rank(matrix):
     return rank
 
 
-def fraction_interpolate(values):
+def fraction_interpolate(values, start=0):
     """Reference interpolation: Newton divided differences over Q on the
-    points 0, 1, 2, ..., expanded to monomials in Fractions."""
+    points start, start + 1, ..., expanded to monomials in Fractions."""
     m = len(values)
     dd = [Fraction(v) for v in values]
     for j in range(1, m):
@@ -79,7 +79,7 @@ def fraction_interpolate(values):
         if i + 1 < m:
             nxt = [Fraction(0)] * (len(basis) + 1)
             for k, b in enumerate(basis):
-                nxt[k] -= b * i
+                nxt[k] -= b * (start + i)
                 nxt[k + 1] += b
             basis = nxt
     if any(c.denominator != 1 for c in coeffs):
@@ -118,12 +118,12 @@ def twin_blocks(rng, sizes):
 
 
 def determinant_values(bits):
-    """det(tI - A) at t = 0..n for the threshold graph of `bits`."""
+    """det(tI - A) at t = 1..n+1 for the threshold graph of `bits`."""
     adj = adjacency_matrix(bits)
     n = len(adj)
     return [bareiss_determinant([[(t if i == j else 0) - adj[i][j]
                                   for j in range(n)] for i in range(n)])
-            for t in range(n + 1)]
+            for t in range(1, n + 2)]
 
 
 class TestInterpolation:
@@ -134,25 +134,25 @@ class TestInterpolation:
                 p = normalize(rng.randint(-(1 << 70), 1 << 70)
                               for _ in range(d + 1))
                 points = d + 1 + rng.randint(0, 2)
-                values = [evaluate(p, t) for t in range(points)]
+                values = [evaluate(p, t) for t in range(1, points + 1)]
                 assert _interpolate_at_integers(values) == p
-                assert fraction_interpolate(values) == p
+                assert fraction_interpolate(values, 1) == p
 
     def test_determinant_values_of_connected_graphs(self):
         for n in range(2, 10):
             for bits in enumerate_connected(n):
                 values = determinant_values(bits)
                 got = _interpolate_at_integers(values)
-                assert got == fraction_interpolate(values)
+                assert got == fraction_interpolate(values, 1)
                 assert len(got) == n + 1 and got[-1] == 1
 
     @pytest.mark.parametrize("values", [[0, 0, 1], [0, 1, 3, 7],
                                         [5, 0, 0, 0, 1]])
     def test_non_integer_coefficients_raise(self, values):
-        # [0, 0, 1] is x(x-1)/2: integer-valued, with a non-integer
-        # coefficient
+        # [0, 0, 1] is (x-1)(x-2)/2 on the points 1, 2, 3: integer-valued,
+        # with a non-integer coefficient
         with pytest.raises(ArithmeticError):
-            fraction_interpolate(values)
+            fraction_interpolate(values, 1)
         with pytest.raises(ArithmeticError):
             _interpolate_at_integers(values)
 

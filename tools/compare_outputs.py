@@ -57,7 +57,10 @@ gates:
                and `charpoly --oracle` on 20 seeded sequences with
                n <= 10, `family four|six --i 1..3 --verify`, `hunt --n
                2..10 --jobs 1` with and without `--borderenergetic`, and
-               `selftest`
+               `selftest`; and six input errors, each an exit code and
+               one `error:` line: `energy 1`, `energy 01 --precision 0`,
+               `hunt --n 1`, `family four --i 0`, `charpoly 01x` and
+               `info 01 --precision 1e-1001`
 
 Prints the first query whose exit code, stdout, stderr or csv file
 differs, with both outputs, and exits 1; otherwise prints `identical` and
@@ -223,6 +226,11 @@ def gates() -> list[tuple[str, list[str]]]:
             queries.append(("human", ["hunt", "--n", str(n), "--jobs", "1",
                                       *extra]))
     queries.append(("human", ["selftest"]))
+    for argv in (["energy", "1"], ["energy", "01", "--precision", "0"],
+                 ["hunt", "--n", "1"], ["family", "four", "--i", "0"],
+                 ["charpoly", "01x"],
+                 ["info", "01", "--precision", "1e-1001"]):
+        queries.append(("human", argv))
     return queries
 
 
