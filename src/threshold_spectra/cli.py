@@ -320,6 +320,9 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        err.write("error: out of memory\n")
+        return 2
     except ArithmeticError as exc:
         err.write(f"error: {exc}\n")
         return 1

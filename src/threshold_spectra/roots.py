@@ -4,23 +4,23 @@ Roots are isolated by bisection steered by root counts and then refined
 by quadratic interval refinement (QIR) to the cell that bisection would
 reach.  Every enclosure is decided in exact arithmetic: floats only
 propose roots for the energy route, and exact signs certify every cell.
-Isolation searches (-bound, 0) and (0, bound) with Sturm sequences of
-the square-free factors of p, so multiple roots carry their
-multiplicity.  For graph energy only the positive roots are wanted and
-the caller can count them faster than Sturm can: given a root counter
-`above`, isolation searches only (0, bound), with no Sturm chain and no
-square-free decomposition.  That route tries floats first: one float
-pass finds every positive root, each goes to its cell of the dyadic
-grid on which refinement would end, and exact signs at the cell ends
-and one count, at 0, certify the cells, so neither bisection nor
-refinement has anything left to do (`_float_cells`).  Where floats
-cannot tell, as for targets too deep for them, the route splits (0,
-bound) on the counter's counts instead.  The float pass starts at the
-power of two above Fujiwara's bound, and bisection on either route
-starts there too where halving from Cauchy's bound would skip only
-empty pieces (`_subdivide`).  Every enclosure is certified by exact
-signs: p has opposite signs at its two endpoints, which is checked for
-every isolating interval whichever route made it.
+Every route starts from one power of two T above the magnitude of every
+root, the least above Fujiwara's bound or Cauchy's, whichever is less
+(`_pow2_fujiwara_bound`), and every target grid is keyed to it.
+Isolation searches (-T, 0) and (0, T) with Sturm sequences of the
+square-free factors of p, so multiple roots carry their multiplicity.
+For graph energy only the positive roots are wanted and the caller can
+count them faster than Sturm can: given a root counter `above`,
+isolation searches only (0, T), with no Sturm chain and no square-free
+decomposition.  That route tries floats first: one float pass from T
+finds every positive root, each goes to its cell of the dyadic grid on
+which refinement would end, and exact signs at the cell ends and one
+count, at 0, certify the cells, so neither bisection nor refinement has
+anything left to do (`_float_cells`).  Where floats cannot tell, as for
+targets too deep for them, the route splits (0, T) on the counter's
+counts instead.  Every enclosure is certified by exact signs: p has
+opposite signs at its two endpoints, which is checked for every
+isolating interval whichever route made it.
 Bisection is one pass: a midpoint that lands exactly on a root is
 divided out of the polynomial in place, as often as it divides, and the
 split goes on with the same counter, so the root is reported as one
@@ -156,21 +156,16 @@ def _variations(chain: list[Poly], num: int, den: int) -> int:
     return count
 
 
-def _pow2_root_bound(p: Poly) -> int:
-    """A power of two strictly exceeding the magnitude of every root, by
-    Cauchy: the anchor of the grid on which refinement ends."""
-    lead = abs(p[-1])
-    biggest = max(abs(c) for c in p[:-1]) if len(p) > 1 else 0
-    bound = 1 + -(-biggest // lead)
-    return 1 << (bound - 1).bit_length()
-
-
 def _pow2_fujiwara_bound(p: Poly) -> int:
-    """The least power of two T >= 1 above Fujiwara's bound on every root,
-    2 max_k |a_(d-k) / a_d|^(1/k), the a_0 term halved, and at most
-    `_pow2_root_bound(p)`: T = 2^e is above it iff |a_d| 2^(ek) exceeds
-    2^k |a_(d-k)| (2^(d-1) |a_0| for k = d), so bit lengths fix each e up
-    to one and one comparison settles it.  T <= max(1, 4 d r) for the
+    """The one root bound: a power of two T >= 1 strictly above the
+    magnitude of every root, where bisection and the float pass start and
+    on which the target grid is keyed.  T is the least power of two above
+    Fujiwara's bound, 2 max_k |a_(d-k) / a_d|^(1/k), the a_0 term halved,
+    or, where it is less, the least power of two above ceil(max_i |a_i /
+    a_d|), which is at least Cauchy's bound 1 + max_i |a_i / a_d|.
+    T = 2^e is above Fujiwara's bound iff |a_d| 2^(ek) exceeds 2^k
+    |a_(d-k)| (2^(d-1) |a_0| for k = d), so bit lengths fix each e up to
+    one and one comparison settles it.  T <= max(1, 4 d r) for the
     largest root magnitude r."""
     lead = abs(p[-1])
     d = len(p) - 1
@@ -181,7 +176,8 @@ def _pow2_fujiwara_bound(p: Poly) -> int:
             e = -(-(a.bit_length() - lead.bit_length()) // k)
             if lead << e * k <= a:
                 e += 1
-    return min(1 << e, _pow2_root_bound(p))
+    cauchy = -(-max(map(abs, p[:-1]), default=0) // lead)
+    return min(1 << e, 1 << cauchy.bit_length())
 
 
 # Floats place a root on the target grid only when its cells are at least
@@ -412,31 +408,24 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
                c_zero: Optional[int]
                ) -> tuple[list[tuple[int, int, int]], Poly,
                           list[tuple[int, int, int]]]:
-    """Isolate the roots of g on (0, bound), and on (-bound, 0) without
-    `above`, in one pass of bisection; g must not vanish at 0.  `c_zero`
-    is the count of `above` at 0 when the caller has taken it already,
-    and None to take it here.
+    """Isolate the roots of g on (0, T), and on (-T, 0) without `above`,
+    in one pass of bisection, T = `_pow2_fujiwara_bound`; g must not
+    vanish at 0.  `c_zero` is the count of `above` at 0 when the caller
+    has taken it already, and None to take it here.
 
     Returns (exact roots (num, den, k), g with each of them divided out k
     times, isolating intervals (lo, hi, den) each holding exactly one root
     of that reduced polynomial).
 
-    A half-line whose top piece, (0, bound) or (-bound, 0), counts two
-    or more roots starts at (0, T) or (-T, 0), T = `_pow2_fujiwara_bound`:
-    halving from bound would split each (0, 2^k), 2^k > T, at 2^(k-1),
-    no root, and find the upper half empty, so the pieces, exact roots and
-    intervals are the same.  A top piece with one root or none stays, so
-    its refinement ends on the grid keyed to bound.
-
     Roots in a piece (lo, hi] are counted as count(lo) - count(hi): the
     Sturm variations of g, a square-free factor, from one chain built
     before the split, or `above`, which counts the roots of g itself with
-    multiplicity.  The top pieces take Sturm counts at -bound, 0 and
-    bound, but `above` only at 0: it counts the roots above a point, and
-    none lies above bound, so its count there is 0.  A midpoint that can
-    be a root of g, because its reduced denominator divides the leading
-    coefficient (rational root theorem: only integers when g is monic),
-    is tested with `sign_at`.  A zero is divided out of g in place, k
+    multiplicity.  The top pieces take Sturm counts at -T, 0 and T, but
+    `above` only at 0: it counts the roots above a point, and none lies
+    above T, so its count there is 0.  A midpoint that can be a root of
+    g, because its reduced denominator divides the leading coefficient
+    (rational root theorem: only integers when g is monic), is tested
+    with `sign_at`.  A zero is divided out of g in place, k
     times if it divides k times, and the split goes on.  The counts stay
     those of the undivided polynomial: a count at a point counts only the
     roots above it, so the right child (mid, hi] never sees the divided
@@ -448,17 +437,13 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     """
     count = (above if above is not None
              else partial(_variations, sturm_chain(g)))
-    bound = _pow2_root_bound(g)
+    top = _pow2_fujiwara_bound(g)
     if c_zero is None:
         c_zero = count(0, 1)
-    c_top = 0 if above is not None else count(bound, 1)
-    top = _pow2_fujiwara_bound(g)
-    stack = [(0, top if c_zero - c_top > 1 else bound, 1, c_zero, c_top)]
+    stack = [(0, top, 1, c_zero, 0 if above is not None else count(top, 1))]
     if above is None:
-        c_bottom = count(-bound, 1)
         # popped last: the positive half is searched first in both modes
-        stack.insert(0, (-top if c_bottom - c_zero > 1 else -bound, 0, 1,
-                         c_bottom, c_zero))
+        stack.insert(0, (-top, 0, 1, count(-top, 1), c_zero))
     sep = _separation_exponent(g)
     exact: list[tuple[int, int, int]] = []
     found: list[tuple[int, int, int]] = []
@@ -487,20 +472,19 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     return exact, g, found
 
 
-def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
+def _float_cells(g: Poly, count: int, width: Fraction
                  ) -> Optional[tuple[list[tuple[int, int, int]], Poly,
                                      list[tuple[int, int, int, int, int]]]]:
     """Isolate the `count` positive roots of g, which must not vanish at
-    0, on the dyadic grid that cuts (0, bound) into the cells where
-    refinement to `width` ends, from the roots `_float_roots` finds;
-    None where floats cannot tell.  `above` counts the roots of g above a
-    point, as in `isolate_real_roots`.
+    0, on the dyadic grid that cuts (0, T), T = `_pow2_fujiwara_bound`,
+    into the cells where refinement to `width` ends, from the roots
+    `_float_roots` finds; None where floats cannot tell.
 
     Returns what `_subdivide` returns, each isolating cell with the
     values of the reduced polynomial at its ends: (lo, hi, den, v_lo,
     v_hi).  The grid is the one bisection and refinement step through:
-    with bound = 2^b, its cells are 2^s wide, s the largest integer with
-    2^s <= width and s <= b.  Each float root goes to the grid point
+    with T = 2^b, its cells are 2^s wide, s the largest integer with 2^s
+    <= width and s <= b.  Each float root goes to the grid point
     nearest it.  A grid point where the polynomial is 0 is a root,
     divided out as often as it divides.  Otherwise the exact sign there,
     against the sign the polynomial has just above the root (that of its
@@ -526,39 +510,38 @@ def _float_cells(g: Poly, count: int, width: Fraction, above: RootCounter
     for number.
 
     Returns None, for bisection to take over, where floats cannot tell:
-    a bound beyond float range, a root above the float pass's limit
-    (where the start is above the limit, one count at the limit decides
-    before any float step), a float pass that returns None or other than
-    `count` roots, a root at or beyond `bound` or not positive, a root
-    whose cell is narrower than 2^-_FLOAT_BITS of it (every root of a
-    target too deep for floats), a walk that runs out or leaves [0,
-    bound], cells that coincide, or a total other than `count`.
+    T beyond float range; a target so deep that every root's cell is
+    narrower than 2^-_FLOAT_BITS of it, told before any float step by a
+    lower bound on the roots; a float pass that returns None or other
+    than `count` roots; a root not positive or not below the pass's
+    limit, 2^(s + _FLOAT_BITS) or T if that is less, above which a cell
+    is narrower than 2^-_FLOAT_BITS of the root; a walk that runs out or
+    leaves [0, T]; cells that coincide; or a total other than `count`.
+    The pass starts at T, the grid's top, and decides its own reach: on a
+    real-rooted g its first run settles on the largest root, so a root at
+    or above the limit ends the pass after that run, and no root count is
+    taken here.
     """
     wn, wd = width.numerator, width.denominator
-    # s = floor(log2(width)), then at most log2(bound): cells are 2^s wide
+    # s = floor(log2(width)), then at most log2(T): cells are 2^s wide
     s = wn.bit_length() - wd.bit_length()
     if wd << max(s, 0) > wn << max(-s, 0):
         s -= 1
-    # no float pass where Cauchy's bound |g(0)| / (|g(0)| + max |g_i|)
-    # puts every root at 2^(s + _FLOAT_BITS) or above: deep targets
+    # no float pass where the lower bound |g(0)| / (|g(0)| + max |g_i|)
+    # on every root (Cauchy's, of the reversed g) puts every root at
+    # 2^(s + _FLOAT_BITS) or above: deep targets
     least = abs(g[0]).bit_length() - 1 - (
         abs(g[0]) + max(map(abs, g[1:]))).bit_length()
     if least >= s + _FLOAT_BITS:
         return None
-    bits = _pow2_root_bound(g).bit_length() - 1
+    bits = _pow2_fujiwara_bound(g).bit_length() - 1
     if bits >= float_info.max_exp:
         return None
     s = min(s, bits)
     top, den, step = 1 << (bits - s), 1 << max(-s, 0), 1 << max(s, 0)
-    # roots in (0, bound) whose cells are at least 2^-_FLOAT_BITS of them
-    e = min(s + _FLOAT_BITS, bits)
-    limit = ldexp(1.0, e)
-    # every root lies below bisection's start, so only a limit below it
-    # needs the count
-    start = float(_pow2_fujiwara_bound(g))
-    if start > limit and above(1 << max(e, 0), 1 << max(-e, 0)):
-        return None
-    roots = _float_roots(g, start, limit)
+    # roots in (0, T) whose cells are at least 2^-_FLOAT_BITS of them
+    limit = ldexp(1.0, min(s + _FLOAT_BITS, bits))
+    roots = _float_roots(g, ldexp(1.0, bits), limit)
     if roots is None or len(roots) != count:
         return None
     lead_positive = g[-1] > 0
@@ -649,16 +632,17 @@ def isolate_real_roots(p: Poly, width: Rational,
     multiplicities come from an exact square-free decomposition and
     every square-free factor is isolated with its Sturm chain.  With
     `above`, where above(num, den) must be the number of roots of p above
-    num/den >= 0 with multiplicity, only (0, bound) is searched: no Sturm
+    num/den >= 0 with multiplicity, only (0, T) is searched: no Sturm
     chain, no square-free decomposition and no visit to the negative
     half-line.  Either way the count of enclosures weighted by
     multiplicity equals the number of real (with `above`, positive) roots
     of p.
 
     A root at 0 is stripped first and, without `above`, reported as a
-    point.  With `above`, floats come first (`_float_cells`): a float pass
-    from the power of two above Fujiwara's bound finds the positive roots,
-    and each goes to its cell of the dyadic grid on (0, bound) whose cells
+    point.  T = `_pow2_fujiwara_bound` is a power of two above every root
+    magnitude, and every route starts there.  With `above`, floats come
+    first (`_float_cells`): a float pass from T finds the positive roots,
+    and each goes to its cell of the dyadic grid on (0, T) whose cells
     are the widest that fit `width`, where refinement ends.  Exact signs
     certify every cell, the cells must be distinct, and their number plus
     the multiplicities of the grid points found to be roots must equal
@@ -668,14 +652,13 @@ def isolate_real_roots(p: Poly, width: Rational,
     those of the bisection route, number for number.  Where floats cannot
     tell, and for every target whose cells are narrower than 2^-_FLOAT_BITS
     of a root, the factor goes to bisection instead, unchanged.  Bisection
-    (`_subdivide`) splits on the Sturm counts or on the counts of `above`,
-    from that power of two where halving from Cauchy's bound would find
-    nothing on the way: a dyadic midpoint that is a root is divided out of
-    the factor in place, as often as it divides, and reported as a point
-    with that multiplicity, while the split goes on; the left half next to
-    it takes count(mid) + k as its upper count, so the k divided copies are
-    never counted again.  A non-dyadic multiple root makes the `above`
-    route raise.
+    (`_subdivide`) splits (-T, 0) and (0, T) on the Sturm counts, or (0,
+    T) on the counts of `above`: a dyadic midpoint that is a root is
+    divided out of the factor in place, as often as it divides, and
+    reported as a point with that multiplicity, while the split goes on;
+    the left half next to it takes count(mid) + k as its upper count, so
+    the k divided copies are never counted again.  A non-dyadic multiple
+    root makes the `above` route raise.
 
     Three guards stop a wrong count of `above` with ArithmeticError: a
     piece counted to hold one root whose endpoints show no sign change
@@ -713,7 +696,7 @@ def isolate_real_roots(p: Poly, width: Rational,
             changes = (factor[0] > 0) != (factor[-1] > 0)
             miscounted = count % 2 != changes
             if not miscounted:
-                isolated = _float_cells(factor, count, w, above)
+                isolated = _float_cells(factor, count, w)
         if isolated is None:
             exact, reduced, intervals = _subdivide(factor, above, count)
             cells = [(lo, hi, den, value_at(reduced, lo, den),

@@ -56,7 +56,11 @@ def parse_sequence(text: str) -> Bits:
         raise ValueError("empty sequence")
     if bits[0] != 0:
         raise ValueError("first digit of a creation sequence must be 0")
-    return tuple(bits)
+    try:
+        return tuple(bits)
+    except MemoryError:
+        raise ValueError(f"sequence of {len(bits)} vertices is too long"
+                         ) from None
 
 
 def to_blocks(bits: Bits) -> Blocks:

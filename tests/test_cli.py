@@ -26,9 +26,10 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
-def cli_process(*argv, stdout=subprocess.PIPE):
+def cli_process(*argv, stdout=subprocess.PIPE, preexec_fn=None):
     """`python -m threshold_spectra.cli argv`, stderr piped, stdout
-    block-buffered as it is by default on a pipe."""
+    block-buffered as it is by default on a pipe; `preexec_fn` runs in
+    the child before the interpreter starts."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
@@ -36,7 +37,8 @@ def cli_process(*argv, stdout=subprocess.PIPE):
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.Popen(
         [sys.executable, "-m", "threshold_spectra.cli", *argv], env=env,
-        stdout=stdout, stderr=subprocess.PIPE, text=True)
+        stdout=stdout, stderr=subprocess.PIPE, text=True,
+        preexec_fn=preexec_fn)
 
 
 class TestInfo:
@@ -440,5 +442,28 @@ class TestContract:
             os.close(write_end)
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("charpoly", "0^1 1^100000 0^1 1^1"),
+        ("energy", "0^60000000 1^1")])
+    def test_out_of_memory_exits_two(self, argv):
+        # under a 256 MB address-space limit the char poly's binomial row
+        # of (x+1)^m1, m1 about 10^5, runs out of memory, and so do the
+        # 60,000,001 bits of the sequence
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 256 << 20
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        proc = cli_process(*argv, preexec_fn=limit_memory)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert out == ""
         assert err.splitlines() == [err.rstrip("\n")]
         assert err.startswith("error:")

@@ -75,7 +75,7 @@ def test_deep_precision_interval_nests_in_shallow(bits):
 def test_roots_above_matches_sturm(case):
     counts, num, den = case
     _, _, rest = spectra._nontrivial_parts(counts)
-    bound = roots._pow2_root_bound(rest)
+    bound = roots._pow2_fujiwara_bound(rest)
     want = 0
     for factor, mult in square_free_decomposition(rest):
         chain = roots.sturm_chain(factor)

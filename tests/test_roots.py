@@ -160,11 +160,22 @@ class TestIsolation:
         assert 0 < tiny.lo <= Fraction(1, 2 ** 450) <= tiny.hi
 
 
+def cauchy_pow2(p):
+    """The least power of two above ceil(max_i |a_i / a_d|), so at least
+    Cauchy's bound 1 + max_i |a_i / a_d| on the magnitude of every root
+    of p, by doubling from 1."""
+    ratio = -(-max(map(abs, p[:-1])) // abs(p[-1]))
+    bound = 1
+    while bound <= ratio:
+        bound *= 2
+    return bound
+
+
 def sturm_above(p):
     """Reference root counter for the `above` route: roots of p above
     num/den with multiplicity, from the Sturm chains of its square-free
     factors."""
-    bound = roots._pow2_root_bound(p)
+    bound = cauchy_pow2(p)
     chains = [(sturm_chain(f), m) for f, m in square_free_decomposition(p)]
 
     def above(num, den):
@@ -265,7 +276,7 @@ def check_subdivision(p, above, exact_roots):
     for num, den, k in exact:
         divided = mul(divided, poly_pow((-num, den), k))
     assert divided == p
-    bound = roots._pow2_root_bound(p)
+    bound = cauchy_pow2(p)
     low = 0 if above is not None else -bound
     expected = real_root_count(reduced, low, bound)
     assert len(intervals) == expected
@@ -326,7 +337,7 @@ class TestOnePass:
     def test_seeded_exact_roots_both_routes(self, width):
         for p in seeded_polys_with_exact_roots(random.Random(1107), 60):
             factors = square_free_decomposition(p)
-            bound = roots._pow2_root_bound(p)
+            bound = cauchy_pow2(p)
             full = isolate_real_roots(p, width)
             positive = isolate_real_roots(p, width, sturm_above(p))
             # same roots and multiplicities; the enclosures may differ where
@@ -677,9 +688,9 @@ def seeded_block_forms(blocks, count):
 
 
 def cell_width(p, width):
-    """Width of the target grid's cells on (0, bound) for p and `width`:
-    the largest power of two at most `width` and at most the bound."""
-    cell = Fraction(roots._pow2_root_bound(p))
+    """Width of the target grid's cells on (0, T) for p and `width`: the
+    largest power of two at most `width` and at most T, the root bound."""
+    cell = Fraction(roots._pow2_fujiwara_bound(p))
     while cell > width:
         cell /= 2
     return cell
@@ -823,7 +834,7 @@ class TestFloatRoute:
             p = p[next(j for j, c in enumerate(p) if c):]
             for width in FLOAT_WIDTHS:
                 above = sturm_above(p)
-                cells = roots._float_cells(p, above(0, 1), width, above)
+                cells = roots._float_cells(p, above(0, 1), width)
                 if cells is None:
                     continue
                 taken += 1
@@ -844,8 +855,7 @@ class TestFloatRoute:
         p = mul(mul((-2, 0, 1), (-5, 0, 1)), (-10, 0, 1))
         monkeypatch.setattr(roots, "_float_roots", lambda g, start, limit: [
             10 ** 0.5, 5 ** 0.5, 10 ** 0.5])
-        assert roots._float_cells(p, 3, Fraction(1, 10 ** 6),
-                                  sturm_above(p)) is None
+        assert roots._float_cells(p, 3, Fraction(1, 10 ** 6)) is None
         assert (isolate_real_roots(p, Fraction(1, 10 ** 6), sturm_above(p))
                 == bisected_roots(p, Fraction(1, 10 ** 6), sturm_above(p)))
 
@@ -855,41 +865,48 @@ class TestFloatRoute:
         p = mul(mul(poly_pow((-3, 1), 2), (-2, 0, 1)), (-7, 0, 1))
         monkeypatch.setattr(roots, "_float_roots",
                             lambda g, start, limit: [3.0, 7 ** 0.5])
-        assert roots._float_cells(p, 2, Fraction(1, 10 ** 6),
-                                  sturm_above(p)) is None
+        assert roots._float_cells(p, 2, Fraction(1, 10 ** 6)) is None
 
-    def test_a_root_above_the_limit_declines_before_the_float_pass(
+    def test_a_root_above_the_limit_declines_the_float_pass(
             self, monkeypatch):
         # cells of 2^-40 leave floats the roots below 2^(44 - 40) = 16;
-        # the float pass starts at 128 for the root 100, so the count at
-        # 16 decides and it declines without a float step, and at 16 for
-        # 1 and 10, so they go to the float pass with no count taken
+        # the float pass starts at 128 for the root 100, finds 100 first
+        # and declines, and at 16 for 1 and 10, which it places; no count
+        # is taken but the one at 0
         width = Fraction(1, 1 << 40)
         passes = []
 
         def recorded(p, start, limit):
-            passes.append((p, start, limit))
-            return REAL_FLOAT_ROOTS(p, start, limit)
+            found = REAL_FLOAT_ROOTS(p, start, limit)
+            passes.append((p, start, limit, found))
+            return found
 
         monkeypatch.setattr(roots, "_float_roots", recorded)
         far = mul((-100, 1), (-1, 1))
         assert roots._pow2_fujiwara_bound(far) == 128
-        assert roots._float_cells(far, 2, width, sturm_above(far)) is None
-        assert passes == []
-        assert (isolate_real_roots(far, width, sturm_above(far))
-                == bisected_roots(far, width, sturm_above(far)))
-        assert passes == []
-        near = mul((-10, 1), (-1, 1))
-        assert roots._pow2_fujiwara_bound(near) == 16
+        assert roots._float_cells(far, 2, width) is None
+        assert passes == [(far, 128.0, 16.0, None)]
         counts_taken = []
 
-        def counted(num, den):
-            counts_taken.append((num, den))
-            return sturm_above(near)(num, den)
+        def counted(p):
+            real = sturm_above(p)
 
-        assert roots._float_cells(near, 2, width, counted) is not None
-        assert [limit for _, _, limit in passes] == [16.0]
-        assert counts_taken == []
+            def above(num, den):
+                counts_taken.append((num, den))
+                return real(num, den)
+
+            return above
+
+        assert (isolate_real_roots(far, width, counted(far))
+                == bisected_roots(far, width, sturm_above(far)))
+        assert counts_taken[0] == (0, 1)
+        near = mul((-10, 1), (-1, 1))
+        assert roots._pow2_fujiwara_bound(near) == 16
+        del passes[:], counts_taken[:]
+        isolate_real_roots(near, width, counted(near))
+        assert [(start, limit) for _, start, limit, _ in passes] == [
+            (16.0, 16.0)]
+        assert counts_taken == [(0, 1)]
 
     def test_float_pass_starts_where_bisection_does(self, monkeypatch):
         starts = []
@@ -908,8 +925,8 @@ class TestFloatRoute:
                     (rest, float(roots._pow2_fujiwara_bound(rest)))]
 
     def test_one_count_per_many_block_form(self, monkeypatch):
-        # on each of these forms the start equals the limit, below which
-        # every root lies, so the count at 0 is the only one taken
+        # the float pass places every root of these forms, so the count
+        # at 0 is the only one taken
         calls, real = [0], spectra._roots_above
 
         def counted(counts, num, den):
@@ -923,11 +940,11 @@ class TestFloatRoute:
         assert calls[0] == len(forms)
 
     def test_floats_out_of_range_decline(self):
-        # Cauchy's bound is 2^1101, 2^1101 and 2^1033 for the first three,
-        # past the largest float, so bisection takes them before any float
-        # step; the last, with roots 1, about -2^1000 and about -2^-1000,
-        # starts its float pass at 2^1001, where Horner's value overflows
-        # and the Laguerre step is undefined
+        # the root bound T is 2^1101, 2^1101 and 2^1032 for the first
+        # three, past the largest float, so bisection takes them before any
+        # float step; the last, with roots 1, about -2^1000 and about
+        # -2^-1000, starts its float pass at T = 2^1000, where Horner's
+        # value overflows and the Laguerre step is undefined
         width = Fraction(1, 10 ** 6)
         for p in (mul((-(1 << 1100), 1), (-1, 1)),
                   mul((-3, 2), (-(1 << 1100) - 1, 1)),
@@ -935,7 +952,7 @@ class TestFloatRoute:
                       (-(1 << 40) - 1, 1 << 40)),
                   mul((-1, 1), (1, 1 << 1000, 1))):
             above = sturm_above(p)
-            assert roots._float_cells(p, above(0, 1), width, above) is None
+            assert roots._float_cells(p, above(0, 1), width) is None
             assert (isolate_real_roots(p, width, above)
                     == bisected_roots(p, width, above))
 
@@ -1015,9 +1032,29 @@ def subdivided(g, above):
     return exact, reduced, [roots._lowest_terms(*iv) for iv in intervals]
 
 
-def cauchy_start(monkeypatch):
-    """Start every bisection at Cauchy's bound, as plain halving would."""
-    monkeypatch.setattr(roots, "_pow2_fujiwara_bound", roots._pow2_root_bound)
+def check_against_the_cauchy_start(monkeypatch, cases):
+    """`_subdivide` on each (g, above) from T against a start at Cauchy's
+    power of two B: the same exact roots, reduced polynomial and pieces,
+    but a half-line that holds one root is (0, T) or (-T, 0) where it was
+    (0, B) or (-B, 0), since halving from B finds nothing until it is
+    below T.  Returns the number of intervals that differ."""
+    got = [subdivided(g, above) for g, above in cases]
+    tops = [(roots._pow2_fujiwara_bound(g), cauchy_pow2(g))
+            for g, _ in cases]
+    monkeypatch.setattr(roots, "_pow2_fujiwara_bound", cauchy_pow2)
+    reference = [subdivided(g, above) for g, above in cases]
+    monkeypatch.undo()
+    changed = 0
+    for (exact, reduced, intervals), ref, (top, bound) in zip(
+            got, reference, tops):
+        assert (exact, reduced) == ref[:2]
+        assert len(intervals) == len(ref[2])
+        for iv, ref_iv in zip(intervals, ref[2]):
+            if iv != ref_iv:
+                changed += 1
+                assert (iv, ref_iv) in (((0, top, 1), (0, bound, 1)),
+                                        ((-top, 0, 1), (-bound, 0, 1)))
+    return changed
 
 
 def deepprec_reference_forms(monkeypatch, seed=None):
@@ -1054,13 +1091,45 @@ def least_pow2_above_fujiwara(p):
     t = 1
     while not all(Fraction(t, 2) ** k > r for k, r in enumerate(ratios, 1)):
         t *= 2
-    return min(t, roots._pow2_root_bound(p))
+    return min(t, cauchy_pow2(p))
+
+
+# the widths `energy` and `info` take on every connected graph with n <= 10
+# in `test_outputs_inside_the_cauchy_start`: the finest on the same
+# target grid from either bound, the others wide enough that some target
+# cells are wider than the root bound
+FINE_PRECISION = Fraction(1, 10 ** 12)
+COARSE_ENERGY = (Fraction(3), Fraction(16), Fraction(1000))
+COARSE_INFO = (Fraction(1), Fraction(1, 2))
+
+
+def within(inner, outer):
+    """Whether [inner] lies in [outer], both as (lo, hi) pairs."""
+    return outer[0] <= inner[0] <= inner[1] <= outer[1]
+
+
+def spectral_outputs(graphs):
+    """The energy and root enclosures `energy` and `info` print for each
+    graph at each width: {(command, precision): [output of each graph]}."""
+    outputs = {}
+    for precision in (FINE_PRECISION,) + COARSE_ENERGY:
+        outputs["energy", precision] = [spectra.energy(bits, precision)
+                                        for bits in graphs]
+    for precision in (FINE_PRECISION,) + COARSE_INFO:
+        outputs["info", precision] = [
+            ((s.energy_lo, s.energy_hi),
+             [(r.lo, r.hi, r.multiplicity) for r in s.roots])
+            for s in (spectra.spectral_summary(bits, precision)
+                      for bits in graphs)]
+    return outputs
 
 
 class TestFujiwaraStart:
-    """Bisection starts a half-line holding two or more roots at the
-    Fujiwara power of two, where halving from Cauchy's bound would arrive
-    through empty upper halves: the same roots and intervals, less work."""
+    """Every bisection and the float pass start at the one root bound T,
+    the Fujiwara power of two capped at Cauchy's, and the target grid is
+    keyed to it: against a start at Cauchy's power of two, a cell no
+    wider than T is the same cell, and a wider one is a cell of a finer
+    grid inside it."""
 
     def test_sturm_route_matches_the_cauchy_start(self, monkeypatch):
         polys = seeded_polys_with_exact_roots(random.Random(1107), 60)
@@ -1069,9 +1138,8 @@ class TestFujiwaraStart:
             for bits in enumerate_connected(n):
                 polys.append(mul(energy_parts(bits)[1], (0, 1, 1)))
         factors = [f for p in polys for f in square_free_factors(p)]
-        got = [subdivided(f, None) for f in factors]
-        cauchy_start(monkeypatch)
-        assert got == [subdivided(f, None) for f in factors]
+        assert check_against_the_cauchy_start(
+            monkeypatch, [(f, None) for f in factors]) > 0
 
     def test_counter_route_matches_the_cauchy_start(self, monkeypatch):
         forms = [to_blocks(bits) for n in range(2, 11)
@@ -1081,9 +1149,35 @@ class TestFujiwaraStart:
                   for form in deepprec_reference_forms(monkeypatch)]
         cases = [(spectra._nontrivial_parts(counts)[2],
                   partial(spectra._roots_above, counts)) for counts in forms]
-        got = [subdivided(rest, above) for rest, above in cases]
-        cauchy_start(monkeypatch)
-        assert got == [subdivided(rest, above) for rest, above in cases]
+        assert check_against_the_cauchy_start(monkeypatch, cases) > 0
+
+    def test_outputs_inside_the_cauchy_start(self, monkeypatch):
+        graphs = [bits for n in range(2, 11)
+                  for bits in enumerate_connected(n)]
+        got = spectral_outputs(graphs)
+        monkeypatch.setattr(roots, "_pow2_fujiwara_bound", cauchy_pow2)
+        reference = spectral_outputs(graphs)
+        monkeypatch.undo()
+        changed = 0
+        for (command, precision), outputs in got.items():
+            if precision == FINE_PRECISION:
+                assert outputs == reference[command, precision]
+                continue
+            for out, ref in zip(outputs, reference[command, precision]):
+                changed += out != ref
+                if command == "energy":
+                    assert within(out, ref)
+                    continue
+                assert within(out[0], ref[0])
+                assert len(out[1]) == len(ref[1])
+                for (lo, hi, m), (ref_lo, ref_hi, ref_m) in zip(out[1],
+                                                                ref[1]):
+                    assert m == ref_m and within((lo, hi), (ref_lo, ref_hi))
+        assert changed > 0
+        # K_4 minus an edge: the positive root 2.56 of x^2 - x - 4 is
+        # alone in (0, T) = (0, 4) at width 8, where the start at Cauchy's
+        # power of two gave (0, 8)
+        assert spectra.energy(parse_sequence("0011"), 16) == (0, 8)
 
     def test_certified_power_of_two(self):
         rng = random.Random(1916)
@@ -1106,7 +1200,7 @@ class TestFujiwaraStart:
             lead = rng.randint(1, 1 << rng.choice((0, 10, 100)))
             polys.append(tuple(p) + (rng.choice((-1, 1)) * lead,))
         for p in polys:
-            top, bound = roots._pow2_fujiwara_bound(p), roots._pow2_root_bound(p)
+            top, bound = roots._pow2_fujiwara_bound(p), cauchy_pow2(p)
             assert top == least_pow2_above_fujiwara(p)
             assert top & (top - 1) == 0 and 1 <= top <= bound
             assert sign_at(p, top, 1) != 0 and sign_at(p, -top, 1) != 0
@@ -1154,8 +1248,8 @@ class TestFujiwaraStart:
 
     def test_counter_route_takes_no_count_at_cauchys_bound(self,
                                                            monkeypatch):
-        # no root lies above Cauchy's bound, so a counter's count there is
-        # 0 and bisection does not ask for it
+        # no root lies above T or Cauchy's bound, so a counter's count
+        # there is 0 and bisection does not ask for it
         for form in deepprec_reference_forms(monkeypatch):
             counts, rest = energy_parts(form)
             taken = []
@@ -1166,4 +1260,5 @@ class TestFujiwaraStart:
 
             roots._subdivide(rest, recorded, None)
             assert taken[0] == (0, 1)
-            assert (roots._pow2_root_bound(rest), 1) not in taken
+            assert (roots._pow2_fujiwara_bound(rest), 1) not in taken
+            assert (cauchy_pow2(rest), 1) not in taken

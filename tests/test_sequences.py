@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from threshold_spectra import sequences
 from threshold_spectra.sequences import (
     adjacency_matrix,
     edge_count,
@@ -60,6 +61,16 @@ class TestParse:
     def test_dangling_caret(self):
         with pytest.raises(ValueError):
             parse_sequence("0^")
+
+    def test_no_memory_for_the_sequence(self, monkeypatch):
+        # every block expanded, but the tuple of all the bits is refused
+        def no_memory(bits):
+            raise MemoryError
+
+        monkeypatch.setattr(sequences, "tuple", no_memory, raising=False)
+        with pytest.raises(ValueError,
+                           match="sequence of 5 vertices is too long"):
+            parse_sequence("0^2 1^3")
 
 
 class TestBlocks:

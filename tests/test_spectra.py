@@ -514,7 +514,7 @@ def sturm_above(rest):
                 signs.append(v > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    top = variations(roots._pow2_root_bound(rest), 1)
+    top = variations(roots._pow2_fujiwara_bound(rest), 1)
     return lambda num, den: variations(num, den) - top
 
 

@@ -62,9 +62,12 @@ gates:
                `hunt --n 1`, `family four --i 0`, `charpoly 01x` and
                `info 01 --precision 1e-1001`
 
-Prints the first query whose exit code, stdout, stderr or csv file
-differs, with both outputs, and exits 1; otherwise prints `identical` and
-the number of queries in each gate.  Standard library only.
+Runs every query.  For the first query of each gate whose exit code,
+stdout, stderr or csv file differs, prints the query and the first
+differing line of each output from both trees.  Then prints `identical`
+or `different`, and the number of queries in each gate with the number
+that differ.  Exits 1 if any query differs or a worker stops early, 0
+otherwise.  Standard library only.
 """
 
 from __future__ import annotations
@@ -280,6 +283,7 @@ def compare(parent: str, change: str) -> int:
     for proc in procs:
         threading.Thread(target=_feed, args=(proc, feed), daemon=True).start()
     counts: dict[str, int] = {}
+    differ: dict[str, int] = {}
     for gate, argv in queries:
         got = [proc.stdout.readline() for proc in procs]
         if not all(got):
@@ -287,21 +291,23 @@ def compare(parent: str, change: str) -> int:
             print(f"a worker stopped before {' '.join(argv)}")
             return 1
         a, b = (json.loads(text) for text in got)
-        if a != b:
-            _stop(procs)
-            print(f"differs in gate {gate}: {' '.join(argv)}")
+        counts[gate] = counts.get(gate, 0) + 1
+        if a == b:
+            continue
+        if gate not in differ:
+            print(f"first difference in gate {gate}: {' '.join(argv)}")
             for key in ("code", "out", "err", "csv"):
                 if a.get(key) != b.get(key):
                     print(f"{key}: " + first_difference(
                         str(a.get(key)), str(b.get(key))))
-            return 1
-        counts[gate] = counts.get(gate, 0) + 1
+        differ[gate] = differ.get(gate, 0) + 1
     for proc in procs:
         proc.wait()
-    print("identical")
+    print("different" if differ else "identical")
     for gate, count in counts.items():
-        print(f"  {gate}: {count} queries")
-    return 0
+        print(f"  {gate}: {count} queries"
+              + (f", {differ[gate]} differ" if gate in differ else ""))
+    return 1 if differ else 0
 
 
 def _stop(procs: list[subprocess.Popen]) -> None:
