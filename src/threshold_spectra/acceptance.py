@@ -360,7 +360,7 @@ def criterion_10() -> tuple[bool, str]:
     rng = random.Random(987654321)
     precision = Fraction(1, 10 ** 10)
     worst = Fraction(0)
-    bad = 0
+    bad, first = 0, ""
     for _ in range(200):
         n = rng.randint(2, 16)
         idx = rng.getrandbits(n - 2) if n > 2 else 0
@@ -373,8 +373,9 @@ def criterion_10() -> tuple[bool, str]:
         worst = max(worst, err / n)
         if err > 4 * n * precision:
             bad += 1
+            first = first or f"; first: {format_sequence(bits)}"
     detail = (f"200 sequences, {bad} outside 4*n*precision; worst |err|/n "
-              f"= {float(worst):.3e}")
+              f"= {float(worst):.3e}{first}")
     return bad == 0, detail
 
 

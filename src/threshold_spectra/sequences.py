@@ -11,6 +11,7 @@ when the number of blocks is even.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator
 
 Bits = tuple[int, ...]
@@ -22,9 +23,10 @@ def parse_sequence(text: str) -> Bits:
 
     Accepts "0011100011", "(0^2 1^3 0^3 1^2)", "0^2 1^3 0^3 1^2" and
     juxtaposed forms such as "01^3" (meaning 0 1 1 1).  Parentheses and
-    whitespace are separators; an absent exponent means count 1.
+    whitespace are separators; an absent exponent means count 1.  Runs of
+    one symbol merge into one block count, which `from_blocks` expands.
     """
-    bits: list[int] = []
+    counts = [0]  # block k has symbol k % 2; a leading 1 leaves this 0
     i = 0
     n = len(text)
     while i < n:
@@ -47,19 +49,21 @@ def parse_sequence(text: str) -> Bits:
             count = int(text[i:j])
             if count < 1:
                 raise ValueError(f"block count must be positive, got {count}")
+            if count > sys.maxsize // 8:  # more bits than a tuple can hold
+                raise ValueError(f"block count {count} is too large")
             i = j
-        try:
-            bits.extend([sym] * count)
-        except (OverflowError, MemoryError):
-            raise ValueError(f"block count {count} is too large") from None
-    if not bits:
+        if len(counts) % 2 == sym:
+            counts.append(count)
+        else:
+            counts[-1] += count
+    if counts == [0]:
         raise ValueError("empty sequence")
-    if bits[0] != 0:
+    if not counts[0]:
         raise ValueError("first digit of a creation sequence must be 0")
     try:
-        return tuple(bits)
-    except MemoryError:
-        raise ValueError(f"sequence of {len(bits)} vertices is too long"
+        return from_blocks(counts)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"sequence of {sum(counts)} vertices is too long"
                          ) from None
 
 
@@ -84,7 +88,9 @@ def to_blocks(bits: Bits) -> Blocks:
 def from_blocks(blocks: Blocks) -> Bits:
     """Expand a block form back into a creation sequence, validating it."""
     check_blocks(blocks)
-    return tuple(k % 2 for k, count in enumerate(blocks) for _ in range(count))
+    # allocations of known size: memory that is not there fails at once
+    return tuple(b"".join([(b"\0", b"\1")[k % 2] * count
+                           for k, count in enumerate(blocks)]))
 
 
 def check_blocks(blocks: Blocks) -> None:

@@ -199,14 +199,6 @@ def char_poly(blocks: Blocks) -> Poly:
     return _char_poly_from_parts(*_nontrivial_parts(blocks))
 
 
-def _strip_trailing_zeros(bits: Bits) -> tuple[Bits, int]:
-    n = len(bits)
-    k = n
-    while k and bits[k - 1] == 0:
-        k -= 1
-    return bits[:k], n - k
-
-
 def char_poly_of_sequence(bits: Bits) -> Poly:
     """Characteristic polynomial of any creation sequence.
 
@@ -214,10 +206,10 @@ def char_poly_of_sequence(bits: Bits) -> Poly:
     """
     if not bits:
         raise ValueError("empty sequence")
-    core, isolated = _strip_trailing_zeros(bits)
-    if not core:
-        return mul_xk((1,), isolated)
-    return mul_xk(char_poly(to_blocks(core)), isolated)
+    blocks = to_blocks(bits)
+    cut = len(blocks) // 2 * 2  # a trailing 0-block is isolated vertices
+    core = char_poly(blocks[:cut]) if cut else (1,)
+    return mul_xk(core, sum(blocks[cut:]))
 
 
 def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
@@ -364,10 +356,10 @@ def energy(bits: Bits, precision: Rational) -> tuple[Fraction, Fraction]:
     prec = Fraction(precision)
     if prec <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
-    core, _ = _strip_trailing_zeros(bits)
-    if not core:
+    blocks = to_blocks(bits)
+    blocks = blocks[:len(blocks) // 2 * 2]  # drop the isolated vertices
+    if not blocks:
         return Fraction(0), Fraction(0)
-    blocks = to_blocks(core)
     _, _, rest = _nontrivial_parts(blocks)
     lo, hi, den = _energy_from_parts(rest, blocks, prec)
     return Fraction(lo, den), Fraction(hi, den)

@@ -467,3 +467,26 @@ class TestContract:
         assert out == ""
         assert err.splitlines() == [err.rstrip("\n")]
         assert err.startswith("error:")
+
+    def test_large_sequence_in_little_memory(self):
+        # the 18,000,001 bits take one tuple of 144 MB, which fits in a
+        # 256 MB address space only if the parse makes no second copy
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 256 << 20
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        proc = cli_process("energy", "0^18000000 1^1", "--json",
+                           preexec_fn=limit_memory)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        band = json.loads(out)["results"]["energy"]
+        lo, hi = Fraction(band["lo_fraction"]), Fraction(band["hi_fraction"])
+        # (0^a 1^b) has E = (b - 1) + sqrt((b - 1)^2 + 4ab); at b = 1 that
+        # is 2 sqrt(a), and lo <= 2 sqrt(a) <= hi compares squares
+        a = 18_000_000
+        assert 0 < lo and lo * lo <= 4 * a <= hi * hi

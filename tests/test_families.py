@@ -1,10 +1,11 @@
+import io
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import families
+from threshold_spectra import cli, families
 from threshold_spectra.families import (
     FamilyId,
     _strip_integer_roots,
@@ -20,6 +21,7 @@ from threshold_spectra.intpoly import (
     degree,
     divide_exact,
     evaluate,
+    format_poly,
     mul,
     mul_xk,
     poly_pow,
@@ -137,6 +139,32 @@ class TestVerification:
         report = verify_family(FamilyId.FOUR_BLOCK, 2, TOL)
         record = report.to_record()
         assert Fraction(record["energy_gap_bound"]) == report.energy_gap_bound
+
+    def test_wrong_engine_polynomial_fails(self, monkeypatch):
+        # a constant coefficient off by one in the engine's polynomial of
+        # both members: each mismatch prints both polynomials
+        def wrong(blocks):
+            p = char_poly(blocks)
+            return (p[0] + 1,) + p[1:]
+
+        monkeypatch.setattr(families, "char_poly", wrong)
+        pair = family_pair(FamilyId.FOUR_BLOCK, 1)
+        report = verify_family(FamilyId.FOUR_BLOCK, 1, TOL)
+        assert not report.closed_form_match
+        assert not report.ok
+        assert report.details[:4] == (
+            f"G: engine {format_poly(wrong(pair.g))}",
+            "G: closed form " + format_poly(
+                closed_form_char_poly(FamilyId.FOUR_BLOCK, 1, "G")),
+            f"G': engine {format_poly(wrong(pair.g_prime))}",
+            "G': closed form " + format_poly(
+                closed_form_char_poly(FamilyId.FOUR_BLOCK, 1, "G'")),
+        )
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(["family", "four", "--i", "1", "--verify"], out=out,
+                       err=err)
+        assert code == 1
+        assert err.getvalue() == ""
 
 
 class TestExactEnergyEquality:

@@ -165,6 +165,10 @@ class TestStructure:
         assert poly_pow((1, 1), 2) == (1, 2, 1)
         assert poly_pow((0, 1), 5) == (0, 0, 0, 0, 0, 1)
 
+    def test_pow_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            poly_pow((1, 1), -1)
+
     def test_mul_xk(self):
         assert mul_xk((2, 1), 3) == (0, 0, 0, 2, 1)
         assert mul_xk((), 3) == ()
@@ -178,6 +182,11 @@ class TestStructure:
         q = mul((1, 1), (3, 1))
         assert gcd(p, q) == (1, 1)
         assert gcd(p, ()) == normalize(p)
+
+    def test_gcd_with_zero_first(self):
+        # the zero argument goes second; gcd(0, 0) is 0
+        assert gcd((), (4, -2)) == (-2, 1)
+        assert gcd((), ()) == ()
 
     def test_square_free_decomposition(self):
         p = mul(mul(poly_pow((1, 1), 3), poly_pow((0, 1), 2)), (-2, 0, 1))
@@ -201,6 +210,9 @@ class TestStructure:
             if norm[-1] < 0:
                 norm = neg(norm)
             assert rebuilt == norm
+
+    def test_square_free_of_a_constant_is_empty(self):
+        assert square_free_decomposition((-7,)) == []
 
     def test_square_free_rejects_zero(self):
         with pytest.raises(ValueError):

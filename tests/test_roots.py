@@ -779,6 +779,20 @@ class TestFloatRoute:
             energy_roots(counts, rest, Fraction(1, 10 ** 50))
         assert bisections[0] == len(forms)
 
+    def test_a_run_that_does_not_settle_declines(self, monkeypatch):
+        # one Laguerre step settles no run from T, so the float pass
+        # declines and bisection isolates the roots instead
+        counts, rest = energy_parts("(0^3 1^2 0^1 1^4 0^2 1^3 0^5 1^1)")
+        precision = Fraction(1, 10 ** 10)
+        monkeypatch.setattr(roots, "_FLOAT_STEPS", 1)
+        start = float(roots._pow2_fujiwara_bound(rest))
+        assert roots._float_roots(rest, start, start) is None
+        bisections = count_bisections(monkeypatch)
+        declined = energy_roots(counts, rest, precision)
+        assert bisections[0] == 1
+        exact_route(monkeypatch)
+        assert declined == energy_roots(counts, rest, precision)
+
     @pytest.mark.parametrize("wrong", ["shift 1", "shift 3", "shift 20",
                                        "duplicated", "dropped", "negated",
                                        "nan"])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -61,6 +62,27 @@ class TestParse:
     def test_dangling_caret(self):
         with pytest.raises(ValueError):
             parse_sequence("0^")
+
+    def test_runs_of_one_symbol_merge(self):
+        assert parse_sequence("0^2 0 1^3 1") == (0, 0, 0, 1, 1, 1, 1)
+        assert parse_sequence("(0^1)(0^1)(1^2) 1") == (0, 0, 1, 1, 1)
+
+    def test_count_past_memory(self):
+        # a count above sys.maxsize // 8 is refused where it is read, so
+        # before a bad character after it; a smaller one that memory
+        # cannot hold is refused once the whole text is read
+        big = sys.maxsize // 8
+        with pytest.raises(ValueError,
+                           match=f"block count {big + 1} is too large"):
+            parse_sequence(f"0^{big + 1} x")
+        with pytest.raises(ValueError, match="invalid character 'x'"):
+            parse_sequence(f"0^{big} x")
+        with pytest.raises(ValueError, match=f"sequence of {big + 1} "
+                                             "vertices is too long"):
+            parse_sequence(f"0^{big} 1")
+        with pytest.raises(ValueError, match=f"sequence of {2 * big + 1} "
+                                             "vertices is too long"):
+            parse_sequence(f"0^{big} 0^{big} 1")
 
     def test_no_memory_for_the_sequence(self, monkeypatch):
         # every block expanded, but the tuple of all the bits is refused

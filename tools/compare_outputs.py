@@ -6,9 +6,9 @@ Each SRC is a directory holding the `threshold_spectra` package, such as
 the `src/` of a checkout.  Both trees run the same queries at the same
 time, each in its own interpreter with `cli.run` called in-process, and
 the outputs are compared byte for byte once the timing fields are
-blanked: `timing_seconds` and `elapsed_seconds` in their JSON and human
-forms, a criterion's `(N.NNs)` and criterion 9's `scan N.NNNs`.  The
-gates:
+blanked to `null`: `timing_seconds` and `elapsed_seconds` in their JSON
+and human forms, a criterion's `(N.NNs)` and criterion 9's `scan
+N.NNNs`, so a `--json` record stays JSON.  The gates:
 
   energy-info  `energy --json` and `info --json` for every connected
                creation sequence with n <= 12, at 1e-12 and 1e-60
@@ -250,7 +250,7 @@ def worker(src: str) -> None:
             out, err = io.StringIO(), io.StringIO()
             code = cli.run(argv, out=out, err=err)
             record = {"code": code, "err": err.getvalue(),
-                      "out": TIMING.sub(r"\1\2-", out.getvalue())}
+                      "out": TIMING.sub(r"\1\2null", out.getvalue())}
             if CSV_NAME in argv:
                 with open(CSV_NAME) as handle:
                     record["csv"] = handle.read()
