@@ -42,9 +42,7 @@ _EXPORTS = {
     "format_sequence": "sequences",
     "from_blocks": "sequences",
     "full_scan": "hunt",
-    "gamma": "spectra",
     "index_sequences": "spectra",
-    "is_cospectral": "spectra",
     "isolate_real_roots": "roots",
     "multiplicity_minus_one": "spectra",
     "multiplicity_zero": "spectra",

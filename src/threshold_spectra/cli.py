@@ -330,6 +330,10 @@ def run(argv: Sequence[str], out: Optional[TextIO] = None,
 
 
 def main() -> None:
+    # exact coefficients of large graphs outgrow the interpreter's default
+    # limit on the digits of an int turned into text (4,300 in CPython)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()

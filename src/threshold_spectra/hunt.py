@@ -15,11 +15,13 @@ endpoints over one power-of-two denominator and its class id, with the
 graph's index in the enumeration as its position.  Grouping sorts and
 merges on those numerators.  Only the members of classes with two or more
 members get their sequence and characteristic polynomial back, rebuilt
-from their index; `HuntResult.records` and `HuntResult.classes` rebuild
-every record and class on each access.  Cospectral graphs share the
-factor `rest` and the block count, so they get identical enclosures and
-fall into one class: a single-member class holds a polynomial that no
-other graph has, which is what `distinct_char_polys` counts on.
+from their index.  The result holds no record or class of the whole
+scan: `HuntResult.iter_records` rebuilds each record as it is reached,
+and the complete partition is the class id of every index.  Cospectral
+graphs share the factor `rest` and the block count, so they get
+identical enclosures and fall into one class: a single-member class
+holds a polynomial that no other graph has, which is what
+`distinct_char_polys` counts on.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class HuntResult:
     connected sequence, in enumeration order, the classes of two or more
     members, the borderenergetic candidates and the scan's statistics.
 
-    The enclosure of the sequence with index k is [lo[k], hi[k]] / 2^shift.
+    The enclosure of the sequence with index k is [lo[k], hi[k]] / 2^shift,
+    and its class is class_ids[k], numbered in ascending energy.
     """
 
     n: int
@@ -103,22 +106,6 @@ class HuntResult:
             bits, poly = _member(self.n, idx)
             yield SequenceRecord(bits, poly, Fraction(lo, den),
                                  Fraction(hi, den))
-
-    @property
-    def records(self) -> tuple[SequenceRecord, ...]:
-        """One record per connected sequence, rebuilt on each access."""
-        return tuple(self.iter_records())
-
-    @property
-    def classes(self) -> tuple[EnergyClass, ...]:
-        """The complete energy partition in ascending order, rebuilt on each
-        access."""
-        runs: list[list[int]] = [[] for _ in range(
-            max(self.class_ids, default=-1) + 1)]
-        for idx, class_id in enumerate(self.class_ids):
-            runs[class_id].append(idx)
-        return tuple(_energy_class(self.n, self.shift, self.lo, self.hi, run)
-                     for run in runs)
 
 
 def _resolve_jobs(processes: Optional[int]) -> int:

@@ -27,6 +27,8 @@ def parse_sequence(text: str) -> Bits:
     one symbol merge into one block count, which `from_blocks` expands.
     """
     counts = [0]  # block k has symbol k % 2; a leading 1 leaves this 0
+    max_count = sys.maxsize // 8  # more bits than a tuple can hold
+    max_digits = len(str(max_count))
     i = 0
     n = len(text)
     while i < n:
@@ -46,11 +48,13 @@ def parse_sequence(text: str) -> Bits:
                 j += 1
             if j == i:
                 raise ValueError("'^' must be followed by a positive integer")
-            count = int(text[i:j])
+            digits = text[i:j].lstrip("0") or "0"
+            # the length goes first: int() refuses a text past the
+            # interpreter's digit limit
+            if len(digits) > max_digits or (count := int(digits)) > max_count:
+                raise ValueError(f"block count {digits} is too large")
             if count < 1:
                 raise ValueError(f"block count must be positive, got {count}")
-            if count > sys.maxsize // 8:  # more bits than a tuple can hold
-                raise ValueError(f"block count {count} is too large")
             i = j
         if len(counts) % 2 == sym:
             counts.append(count)

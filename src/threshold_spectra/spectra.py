@@ -125,8 +125,8 @@ def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
     length in [1, b] whose last term has the parity of b.
 
     Length 0 yields the singleton containing the empty sequence.  This
-    enumeration is the specification that `gamma` is tested against; the
-    companion factor never enumerates.
+    enumeration is the specification that `_gammas` is tested against;
+    the companion factor never enumerates.
     """
     if b < 1:
         raise ValueError(f"need a positive block count, got {b}")
@@ -145,15 +145,6 @@ def index_sequences(b: int, length: int) -> set[tuple[int, ...]]:
 
     extend(0, 1, ())
     return out
-
-
-def gamma(blocks: Blocks, length: int) -> int:
-    """Sum over the index sequences of the products of indexed block counts."""
-    check_blocks(blocks)
-    b = len(blocks)
-    if not 0 <= length <= b:
-        raise ValueError(f"length must lie in [0, {b}], got {length}")
-    return _gammas(blocks)[length]
 
 
 def _gammas(counts: Blocks) -> list[int]:
@@ -210,11 +201,6 @@ def char_poly_of_sequence(bits: Bits) -> Poly:
     cut = len(blocks) // 2 * 2  # a trailing 0-block is isolated vertices
     core = char_poly(blocks[:cut]) if cut else (1,)
     return mul_xk(core, sum(blocks[cut:]))
-
-
-def is_cospectral(bits_a: Bits, bits_b: Bits) -> bool:
-    """True iff the exact monic characteristic polynomials coincide."""
-    return char_poly_of_sequence(bits_a) == char_poly_of_sequence(bits_b)
 
 
 def _roots_above(counts: Blocks, num: int, den: int) -> int:

@@ -26,7 +26,7 @@ from functools import partial
 
 import pytest
 
-from threshold_spectra import acceptance, cli, families, hunt, spectra
+from threshold_spectra import acceptance, cli, families, hunt, linalg, spectra
 from threshold_spectra.sequences import format_sequence, nth_connected
 
 # criterion name -> number, over the criteria run in this session
@@ -58,15 +58,15 @@ def constant_plus_one(real):
     return wrong
 
 
-def energy_plus_one(real, every=1):
-    """`real` with every `every`-th energy interval shifted up by 1, far
-    past its width."""
+def energy_plus(real, every=1, by=1):
+    """`real` with every `every`-th energy interval shifted up by `by`,
+    far past its width."""
     calls = [0]
 
     def wrong(*args):
         calls[0] += 1
         lo, hi = real(*args)
-        shift = calls[0] % every == 0
+        shift = by * (calls[0] % every == 0)
         return lo + shift, hi + shift
     return wrong
 
@@ -99,6 +99,20 @@ def no_energy_classes(real):
     return wrong
 
 
+def first_root_dropped(real):
+    def wrong(*args):
+        return real(*args)[1:]
+    return wrong
+
+
+def inertia_failure(real):
+    """`real` refusing every graph, as it does when it finds the wrong
+    number of positive eigenvalues."""
+    def wrong(*args):
+        raise ArithmeticError("inertia check failed")
+    return wrong
+
+
 def first_four_block_tuple():
     """Criterion 3's first sampled (a1, a2, a3, a4)."""
     rng = random.Random(20250806)
@@ -113,31 +127,47 @@ def first_random_sequence():
     return format_sequence(bits)
 
 
-# criterion -> (module, function name, wrong engine, text of the detail
-# that names the first failure)
+# case -> (criterion, module, function name, wrong engine, text of the
+# detail that names the first failure); case "N" is criterion N's first
+# failure branch, "N-..." another branch of it
 WRONG_ENGINE = {
-    1: (spectra, "_char_poly_from_parts", constant_plus_one,
-        "; first: (0^1 1^1)"),
-    2: (spectra, "_multiplicities", m1_plus_one,
-        "; first: (0^1 1^1) formula (0,2) vs counted (0,1)"),
-    3: (spectra, "_q_from_counts", constant_plus_one,
-        f"; e.g. (a1..a4)={first_four_block_tuple()}: engine ["),
-    4: (spectra, "index_sequences", one_sequence_dropped, "(7,4): {("),
-    5: (spectra, "_char_poly_from_parts", constant_plus_one,
-        "; first at ('four', 1, 'G'): engine: "),
+    "1": (1, spectra, "_char_poly_from_parts", constant_plus_one,
+          "; first: (0^1 1^1)"),
+    "2": (2, spectra, "_multiplicities", m1_plus_one,
+          "; first: (0^1 1^1) formula (0,2) vs counted (0,1)"),
+    "3": (3, spectra, "_q_from_counts", constant_plus_one,
+          f"; e.g. (a1..a4)={first_four_block_tuple()}: engine ["),
+    "3-determinant": (3, linalg, "charpoly", constant_plus_one,
+                      "mismatched the corrected form (xy negative, constant "
+                      "positive) on 0, the determinant route on 20;"),
+    "4": (4, spectra, "index_sequences", one_sequence_dropped,
+          "(7,4): {("),
+    "5": (5, spectra, "_char_poly_from_parts", constant_plus_one,
+          "; first at ('four', 1, 'G'): engine: "),
     # G' is the second energy of each pair in `verify_family`
-    6: (families, "energy", partial(energy_plus_one, every=2),
-        "; first four i=1: "),
+    "6": (6, families, "energy", partial(energy_plus, every=2),
+          "; first four i=1: "),
     # at i = 1 the pairs' energies are about 22.57 (four) and 23.93
-    # (six), so one more first passes 18i + 6 = 24 at six's G
-    7: (spectra, "energy", energy_plus_one,
-        "; first: ('six', 1, 'upper > 18i+6+1e-9', "),
-    8: (families, "shared_cubic", constant_plus_one,
-        "; first mismatch i=1: computed 37 at 0 and -41 at -(2i+1)"),
-    9: (hunt, "_group", no_energy_classes, "missing pairs: ['four', 'six']"),
-    10: (spectra, "_energy_from_parts", parts_energy_plus_one,
-         f"; first: {first_random_sequence()}"),
-    11: (spectra, "energy", energy_plus_one, "49 misses: [2, 3, 4, "),
+    # (six), so one more first passes 18i + 6 = 24 at six's G, and four
+    # more pass 18i + 8 = 26 at four's G
+    "7": (7, spectra, "energy", energy_plus,
+          "; first: ('six', 1, 'upper > 18i+6+1e-9', "),
+    "7-18i+8": (7, spectra, "energy", partial(energy_plus, by=4),
+                "; first: ('four', 1, 'upper >= 18i+8', "),
+    "8": (8, families, "shared_cubic", constant_plus_one,
+          "; first mismatch i=1: computed 37 at 0 and -41 at -(2i+1)"),
+    # the values are right, and no cubic has three roots left
+    "8-localization": (8, families, "isolate_real_roots", first_root_dropped,
+                       "-2i for 50 of 50 i; erratum: the transcribed value "
+                       "at -(2i+1), -24i^3-16i^2+6i, is off by 8i; "
+                       "localization failed for i in [1, 2, 3, 4, 5]"),
+    "9": (9, hunt, "_group", no_energy_classes,
+          "missing pairs: ['four', 'six']"),
+    "9-exit": (9, hunt, "_energy_from_parts", inertia_failure,
+               "hunt exited with 1"),
+    "10": (10, spectra, "_energy_from_parts", parts_energy_plus_one,
+           f"; first: {first_random_sequence()}"),
+    "11": (11, spectra, "energy", energy_plus, "49 misses: [2, 3, 4, "),
 }
 
 
@@ -151,13 +181,15 @@ def fresh_corpus():
 
 
 def test_every_criterion_has_a_wrong_engine():
-    assert sorted(WRONG_ENGINE) == sorted(acceptance.CRITERIA)
+    assert {case[0] for case in WRONG_ENGINE.values()} == set(
+        acceptance.CRITERIA)
+    assert all(WRONG_ENGINE[str(number)][0] == number
+               for number in acceptance.CRITERIA)
 
 
-@pytest.mark.parametrize("number", sorted(WRONG_ENGINE))
-def test_criterion_fails_on_a_wrong_engine(monkeypatch, fresh_corpus,
-                                           number):
-    module, name, make_wrong, first = WRONG_ENGINE[number]
+@pytest.mark.parametrize("case", sorted(WRONG_ENGINE))
+def test_criterion_fails_on_a_wrong_engine(monkeypatch, fresh_corpus, case):
+    number, module, name, make_wrong, first = WRONG_ENGINE[case]
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     result = acceptance.CRITERIA[number]()
     assert not result.passed

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,12 +27,13 @@ def run_json(*argv):
     return code, json.loads(out), err
 
 
-def cli_process(*argv, stdout=subprocess.PIPE, preexec_fn=None):
+def cli_process(*argv, stdout=subprocess.PIPE, preexec_fn=None, environ=()):
     """`python -m threshold_spectra.cli argv`, stderr piped, stdout
     block-buffered as it is by default on a pipe; `preexec_fn` runs in
-    the child before the interpreter starts."""
+    the child before the interpreter starts, and `environ` holds more
+    variables for the child's environment."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
+    env = dict(os.environ, **dict(environ))
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -39,6 +41,18 @@ def cli_process(*argv, stdout=subprocess.PIPE, preexec_fn=None):
         [sys.executable, "-m", "threshold_spectra.cli", *argv], env=env,
         stdout=stdout, stderr=subprocess.PIPE, text=True,
         preexec_fn=preexec_fn)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on the digits of an int read from or
+    turned into text, 4,300, for the length of one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
 
 
 class TestInfo:
@@ -141,6 +155,20 @@ class TestEnergy:
         assert out == ""
         assert err.splitlines() == [err.rstrip("\n")]
         assert err.startswith("error: block count")
+
+    def test_block_count_past_the_digit_limit(self, default_digit_limit):
+        # 5,000 digits are more than int() reads by default; the count is
+        # refused by its length before int() sees it
+        nines = "9" * 5000
+        code, out, err = run_cli("energy", f"0^{nines} 1^1")
+        assert (code, out) == (2, "")
+        assert err == f"error: block count {nines} is too large\n"
+
+    def test_block_count_with_leading_zeros(self, default_digit_limit):
+        # 5,000 zeros and a 2 are the count 2, past the digit limit too
+        code, record, err = run_json("energy", "0^" + "0" * 5000 + "2 1^1")
+        assert (code, err) == (0, "")
+        assert record["results"] == run_json("energy", "0^2 1^1")[1]["results"]
 
     def test_bad_sequence(self):
         code, _, err = run_cli("energy", "10")
@@ -306,15 +334,13 @@ class TestHunt:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))[1:]
         result = hunt.full_scan(6, Fraction(1, 2))
-        class_of = {bits: k for k, cls in enumerate(result.classes)
-                    for bits, _ in cls.members}
-        assert len(class_of) == 16 > len(result.classes)
+        assert len(result.class_ids) == 16 > len(set(result.class_ids))
         assert [row[0] for row in rows] == [
             format_sequence(bits) for bits in enumerate_connected(6)]
         assert [row[3] for row in rows] == [
-            str(list(rec.char_poly)) for rec in result.records]
-        assert [int(row[4]) for row in rows] == [
-            class_of[bits] for bits in enumerate_connected(6)]
+            str(list(spectra.char_poly_of_sequence(bits)))
+            for bits in enumerate_connected(6)]
+        assert [int(row[4]) for row in rows] == list(result.class_ids)
 
     def test_unwritable_csv_fails_before_the_scan(self, tmp_path,
                                                   monkeypatch):
@@ -430,6 +456,20 @@ class TestContract:
         assert proc.returncode == 2
         assert err.splitlines() == [err.rstrip("\n")]
         assert err.startswith("error:")
+
+    def test_coefficients_past_the_digit_limit(self):
+        # K_2501 has char poly (x + 1)^2500 (x - 2500), whose coefficients
+        # run to about 750 digits, past a limit of 640 set for the child
+        proc = cli_process("charpoly", "0^1 1^2500", "--json",
+                           environ={"PYTHONINTMAXSTRDIGITS": "640"})
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+        m = 2500
+        # the coefficient of x^k is C(m, k - 1) - m C(m, k)
+        want = [(math.comb(m, k - 1) if k else 0) - m * math.comb(m, k)
+                for k in range(m + 2)]
+        assert max(map(abs, want)) > 10 ** 640
+        assert json.loads(out)["results"]["char_poly"] == want
 
     def test_stdout_closed_before_the_first_write(self):
         # a pipe with no reader: the short record is still buffered when

@@ -9,37 +9,67 @@ import pytest
 from threshold_spectra import hunt
 from threshold_spectra.hunt import EnergyClass, SequenceRecord, full_scan
 from threshold_spectra.sequences import enumerate_connected, parse_sequence
-from threshold_spectra.spectra import (char_poly_of_sequence, energy,
-                                       is_cospectral)
+from threshold_spectra.spectra import char_poly_of_sequence, energy
 
 PRECISION = Fraction(1, 10 ** 10)
 TIGHT = Fraction(1, 10 ** 12)
 
 
+def all_records(result):
+    """Every record of the scan, in enumeration order."""
+    return tuple(result.iter_records())
+
+
+def runs_of(class_ids):
+    """The ascending indices of each class, in class id order."""
+    runs = [[] for _ in range(max(class_ids, default=-1) + 1)]
+    for idx, class_id in enumerate(class_ids):
+        runs[class_id].append(idx)
+    assert all(runs)
+    return runs
+
+
+def partition(class_ids, shift, lo, hi, records):
+    """The complete energy partition that these class ids give the
+    records, whose endpoints are lo and hi over 2^shift, as ascending
+    `EnergyClass`es of the records' own bits and polynomials."""
+    den = 2 ** shift
+    return tuple(
+        EnergyClass(energy_lo=Fraction(min(lo[k] for k in run), den),
+                    energy_hi=Fraction(max(hi[k] for k in run), den),
+                    members=tuple(sorted((records[k].bits,
+                                          records[k].char_poly)
+                                         for k in run)))
+        for run in runs_of(class_ids))
+
+
+def scan_partition(result):
+    """The complete energy partition of a scan, from its class ids."""
+    return partition(result.class_ids, result.shift, result.lo, result.hi,
+                     all_records(result))
+
+
 class TestClassify:
     def test_order_three_two_singletons(self):
-        classes = full_scan(3, PRECISION).classes
-        assert len(classes) == 2
-        assert all(len(c.members) == 1 for c in classes)
+        result = full_scan(3, PRECISION)
+        assert sorted(result.class_ids) == [0, 1]
+        assert result.multi_member == ()
 
     def test_partition_covers_everything(self):
-        classes = full_scan(8, PRECISION).classes
-        members = [bits for cls in classes for bits, _ in cls.members]
-        assert len(members) == 64
+        result = full_scan(8, PRECISION)
+        members = [rec.bits for rec in result.iter_records()]
+        assert len(result.class_ids) == len(members) == 64
         assert set(members) == set(enumerate_connected(8))
-        for cls in classes:
+        assert set(result.class_ids) == set(
+            range(result.stats["classes_total"]))
+        for cls in result.multi_member:
             assert list(cls.members) == sorted(cls.members)
 
     def test_tightening_never_merges(self):
-        coarse = full_scan(10, Fraction(1, 10 ** 6)).classes
-        fine = full_scan(10, TIGHT).classes
-        coarse_of = {}
-        for k, cls in enumerate(coarse):
-            for bits, _ in cls.members:
-                coarse_of[bits] = k
-        for cls in fine:
-            homes = {coarse_of[bits] for bits, _ in cls.members}
-            assert len(homes) == 1
+        coarse = full_scan(10, Fraction(1, 10 ** 6)).class_ids
+        fine = full_scan(10, TIGHT).class_ids
+        # each fine class lies in one coarse class
+        assert len(set(zip(fine, coarse))) == len(set(fine))
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -91,19 +121,8 @@ def key_group(records):
     shift, lo, hi = key_form(records)
     class_ids, multi = hunt._group(lo, hi)
     assert len(class_ids) == len(records)
-    runs = [[] for _ in range(max(class_ids, default=-1) + 1)]
-    for idx, class_id in enumerate(class_ids):
-        runs[class_id].append(idx)
-    assert all(runs)
-    assert multi == [run for run in runs if len(run) > 1]
-    den = 2 ** shift
-    return tuple(
-        EnergyClass(energy_lo=Fraction(min(lo[k] for k in run), den),
-                    energy_hi=Fraction(max(hi[k] for k in run), den),
-                    members=tuple(sorted((records[k].bits,
-                                          records[k].char_poly)
-                                         for k in run)))
-        for run in runs)
+    assert multi == [run for run in runs_of(class_ids) if len(run) > 1]
+    return partition(class_ids, shift, lo, hi, records)
 
 
 class TestGroupKeys:
@@ -134,10 +153,10 @@ class TestGroupKeys:
     def test_matches_reference_on_scans(self):
         for n in range(2, 12):
             result = full_scan(n, PRECISION)
-            records = result.records
-            assert key_group(records) == fraction_group(records)
-            assert result.classes == fraction_group(records)
-            for cls in result.classes:
+            got = all_records(result)
+            assert key_group(got) == fraction_group(got)
+            assert scan_partition(result) == fraction_group(got)
+            for cls in result.multi_member:
                 assert type(cls.energy_lo) is type(cls.energy_hi) is Fraction
 
 
@@ -151,20 +170,20 @@ class TestEquienergeticSearch:
         for cls in result.equienergetic:
             polys = {p for _, p in cls.members}
             assert len(polys) >= 2
-            seqs = [bits for bits, _ in cls.members]
-            assert any(not is_cospectral(a, b)
-                       for i, a in enumerate(seqs) for b in seqs[i + 1:])
+            assert len({char_poly_of_sequence(bits)
+                        for bits, _ in cls.members}) >= 2
 
     def test_order_nine_matches_pairwise_bruteforce(self):
         result = full_scan(9, TIGHT)
         intervals = {bits: energy(bits, TIGHT)
                      for bits in enumerate_connected(9)}
+        polys = {bits: char_poly_of_sequence(bits) for bits in intervals}
         brute_pairs = set()
         seqs = sorted(intervals)
         for i, a in enumerate(seqs):
             for b in seqs[i + 1:]:
                 ea, eb = intervals[a], intervals[b]
-                if ea[0] <= eb[1] and eb[0] <= ea[1] and not is_cospectral(a, b):
+                if ea[0] <= eb[1] and eb[0] <= ea[1] and polys[a] != polys[b]:
                     brute_pairs.add((a, b))
         class_of = {}
         for k, cls in enumerate(result.equienergetic):
@@ -178,7 +197,7 @@ class TestEquienergeticSearch:
             seqs = [bits for bits, _ in cls.members]
             for i, a in enumerate(seqs):
                 for b in seqs[i + 1:]:
-                    if not is_cospectral(a, b):
+                    if polys[a] != polys[b]:
                         reported.add((a, b))
         assert brute_pairs <= reported
 
@@ -215,8 +234,9 @@ class TestParallel:
     def test_parallel_matches_sequential(self):
         sequential = full_scan(9, PRECISION, processes=1)
         parallel = full_scan(9, PRECISION, processes=2)
-        assert sequential.records == parallel.records
-        assert sequential.classes == parallel.classes
+        assert all_records(sequential) == all_records(parallel)
+        assert sequential.class_ids == parallel.class_ids
+        assert sequential.multi_member == parallel.multi_member
         assert sequential.equienergetic == parallel.equienergetic
         assert sequential.borderenergetic == parallel.borderenergetic
 
@@ -257,7 +277,8 @@ class TestWorkerPool:
         monkeypatch.setattr(hunt.os, "cpu_count", lambda: 4)
         result = full_scan(10, PRECISION, processes=100000)
         assert pool_sizes == [4]
-        assert result.records == full_scan(10, PRECISION, processes=1).records
+        assert all_records(result) == all_records(
+            full_scan(10, PRECISION, processes=1))
 
     @pytest.mark.parametrize("processes", [0, -3])
     def test_fewer_than_one_process_rejected(self, pool_sizes, processes):
@@ -268,13 +289,15 @@ class TestWorkerPool:
     def test_none_means_one_process(self, pool_sizes):
         result = full_scan(8, PRECISION, processes=None)
         assert pool_sizes == []
-        assert result.records == full_scan(8, PRECISION, processes=1).records
+        assert all_records(result) == all_records(
+            full_scan(8, PRECISION, processes=1))
 
     def test_pool_capped_at_chunk_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(hunt.os, "cpu_count", lambda: 1000)
         result = full_scan(8, PRECISION, processes=100000)
         assert pool_sizes == [64]
-        assert result.records == full_scan(8, PRECISION, processes=1).records
+        assert all_records(result) == all_records(
+            full_scan(8, PRECISION, processes=1))
 
 
 COARSE = Fraction(1, 100)
@@ -305,8 +328,8 @@ class TestAgainstReference:
     def test_matches_spectra(self, pool_sizes, monkeypatch, n, precision):
         records, classes = reference(n, precision)
         result = full_scan(n, precision)
-        assert result.records == records
-        assert result.classes == classes
+        assert all_records(result) == records
+        assert scan_partition(result) == classes
         assert result.multi_member == tuple(
             cls for cls in classes if len(cls.members) > 1)
         assert result.equienergetic == tuple(
@@ -346,7 +369,7 @@ class TestAgainstReference:
                             lambda m0, m1, rest: (m1,))
         result = full_scan(6, 1000)
         assert result.stats["classes_total"] == 1
-        polys = {rec.char_poly for rec in result.records}
+        polys = {rec.char_poly for rec in result.iter_records()}
         assert 1 < len(polys) < 16
         assert result.stats["distinct_char_polys"] == len(polys)
 

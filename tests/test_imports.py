@@ -40,9 +40,7 @@ PUBLIC = {
     "format_sequence": ("sequences", "format_sequence"),
     "from_blocks": ("sequences", "from_blocks"),
     "full_scan": ("hunt", "full_scan"),
-    "gamma": ("spectra", "gamma"),
     "index_sequences": ("spectra", "index_sequences"),
-    "is_cospectral": ("spectra", "is_cospectral"),
     "isolate_real_roots": ("roots", "isolate_real_roots"),
     "multiplicity_minus_one": ("spectra", "multiplicity_minus_one"),
     "multiplicity_zero": ("spectra", "multiplicity_zero"),

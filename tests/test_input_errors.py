@@ -9,7 +9,7 @@ from threshold_spectra import families, hunt, sequences, spectra
 
 @pytest.mark.parametrize("call, args, message", [
     (spectra.index_sequences, (0, 0), "need a positive block count"),
-    (spectra.gamma, ((1, 1), 3), r"length must lie in \[0, 2\], got 3"),
+    (spectra.index_sequences, (2, 3), r"length must lie in \[0, 2\], got 3"),
     (spectra.char_poly_of_sequence, ((),), "empty sequence"),
     (spectra.spectral_summary, ((), 1), "empty sequence"),
     (spectra.spectral_summary, ((0, 1), 0), "precision must be positive"),
