@@ -13,7 +13,7 @@ For graph energy only the positive roots are wanted and the caller can
 count them faster than Sturm can: given a root counter `above`,
 isolation searches only (0, T), with no Sturm chain and no square-free
 decomposition.  That route tries floats first: one float pass from T
-finds every positive root, each goes to its cell of the dyadic grid on
+finds the positive roots, each goes to its cell of the dyadic grid on
 which refinement would end, and exact signs at the cell ends and one
 count, at 0, certify the cells, so neither bisection nor refinement has
 anything left to do (`_float_cells`).  Where floats cannot tell, as for
@@ -188,8 +188,9 @@ _FLOAT_BITS = 44
 # energies of the seeded block forms of tools/compare_outputs.py (14 to 40
 # blocks) at 1e-10 takes more than 8.
 _FLOAT_STEPS = 64
-# A Laguerre run ends after a step below this fraction of x.
-_FLOAT_SETTLED = 1e-10
+# A Laguerre run ends after a step below this fraction of x: convergence
+# is cubic, so the next step would move x by about 1e-15 of x.
+_FLOAT_SETTLED = 1e-5
 # Most cells `_float_cells` walks past a float root's nearest grid point
 # and its neighbour before it leaves the polynomial to bisection.
 _FLOAT_WALK = 8
@@ -325,10 +326,11 @@ class _Enclosure:
         self.lo_num, self.hi_num, self.den = lo, hi, den
 
 
-def _float_roots(p: Poly, start: float, limit: float
-                 ) -> Optional[list[float]]:
-    """The positive roots of p in descending order, found in floats by
-    Laguerre's method with Maehly's implicit deflation (Stoer & Bulirsch,
+def _float_roots(p: Poly, start: float, limit: float,
+                 count: Optional[int] = None) -> Optional[list[float]]:
+    """The `count` largest positive roots of p in descending order, or
+    every positive root without a count, found in floats by Laguerre's
+    method with Maehly's implicit deflation (Stoer & Bulirsch,
     Introduction to Numerical Analysis, 5.5); None if floats cannot tell
     or a root is not below `limit`.
 
@@ -342,20 +344,24 @@ def _float_roots(p: Poly, start: float, limit: float
     past the next root; a start further down may pass a root instead,
     which the count then shows.  On a real-rooted p every run descends to
     the next root without passing it.  A run ends after a step below
-    `_FLOAT_SETTLED` of x, beyond which Laguerre's cubic convergence
-    leaves only rounding, or when its steps stop shrinking, as they do
-    where rounding dominates sooner.  The pass ends when a run steps to 0
-    or below, one step past the smallest positive root.  A run that does
-    not settle within `_FLOAT_STEPS` steps, an infinite or undefined
-    value, coefficients beyond float range, or a root not below the
-    previous one return None.
+    `_FLOAT_SETTLED` = 1e-5 of x, or when its steps stop shrinking, as
+    they do where rounding dominates sooner.  Laguerre's method converges
+    cubically near a simple root: a step of 1e-5 x leaves an error of
+    about 1e-15 x, the rounding of the evaluation itself, so a further
+    step would only repeat it.  Given a count, the pass ends after
+    `count` roots and takes no run below the smallest of them; without
+    one, or short of it, it ends when a run steps to 0 or below, one
+    step past the smallest positive root.  A run that does not settle
+    within `_FLOAT_STEPS` steps, an infinite or undefined value,
+    coefficients beyond float range, or a root not below the previous
+    one return None.
     """
     try:
         lead, *rest = [float(c) for c in reversed(p)]
         x = start
         found: list[float] = []
         m = len(rest)  # degree of p divided by the roots found
-        while m:
+        while m and len(found) != count:
             last = float("inf")
             for _ in range(_FLOAT_STEPS):
                 f, df, half_ddf = lead, 0.0, 0.0
@@ -472,7 +478,8 @@ def _subdivide(g: Poly, above: Optional[RootCounter],
     return exact, g, found
 
 
-def _float_cells(g: Poly, count: int, width: Fraction
+def _float_cells(g: Poly, count: int, width: Fraction,
+                 count_is_known: bool = False
                  ) -> Optional[tuple[list[tuple[int, int, int]], Poly,
                                      list[tuple[int, int, int, int, int]]]]:
     """Isolate the `count` positive roots of g, which must not vanish at
@@ -520,7 +527,12 @@ def _float_cells(g: Poly, count: int, width: Fraction
     The pass starts at T, the grid's top, and decides its own reach: on a
     real-rooted g its first run settles on the largest root, so a root at
     or above the limit ends the pass after that run, and no root count is
-    taken here.
+    taken here.  It stops after `count` roots only where `count_is_known`,
+    which a caller sets where it has confirmed `count` as the number of
+    positive roots of g by other means than the counter.  Otherwise it
+    runs on past the smallest root, so a pass that finds more roots than
+    `count` declines: that is the float route's check on a count that is
+    wrong by an even number, which then meets bisection's own guards.
     """
     wn, wd = width.numerator, width.denominator
     # s = floor(log2(width)), then at most log2(T): cells are 2^s wide
@@ -541,7 +553,8 @@ def _float_cells(g: Poly, count: int, width: Fraction
     top, den, step = 1 << (bits - s), 1 << max(-s, 0), 1 << max(s, 0)
     # roots in (0, T) whose cells are at least 2^-_FLOAT_BITS of them
     limit = ldexp(1.0, min(s + _FLOAT_BITS, bits))
-    roots = _float_roots(g, ldexp(1.0, bits), limit)
+    roots = _float_roots(g, ldexp(1.0, bits), limit,
+                         count if count_is_known else None)
     if roots is None or len(roots) != count:
         return None
     lead_positive = g[-1] > 0

@@ -65,6 +65,16 @@ class TestInfo:
         assert results["m0"] == 3
         assert results["m_minus1"] == 3
 
+    def test_roots_ascend_each_with_lo_below_hi(self):
+        code, record, _ = run_json("info", "(0^2 1^3 0^3 1^2)")
+        assert code == 0
+        ends = [(Fraction(root["lo"]), Fraction(root["hi"]))
+                for root in record["results"]["roots"]]
+        assert any(lo < hi for lo, hi in ends)
+        assert all(lo <= hi for lo, hi in ends)
+        assert all(a_hi < b_lo for (_, a_hi), (b_lo, _) in zip(ends,
+                                                                ends[1:]))
+
     def test_human_output(self):
         code, out, _ = run_cli("info", "01")
         assert code == 0

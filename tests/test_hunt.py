@@ -1,14 +1,16 @@
 import functools
 import gc
 import multiprocessing
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from threshold_spectra import hunt
+from threshold_spectra import families, hunt, roots, spectra
 from threshold_spectra.hunt import EnergyClass, SequenceRecord, full_scan
-from threshold_spectra.sequences import enumerate_connected, parse_sequence
+from threshold_spectra.sequences import (enumerate_connected, nth_connected,
+                                         parse_sequence, to_blocks)
 from threshold_spectra.spectra import char_poly_of_sequence, energy
 
 PRECISION = Fraction(1, 10 ** 10)
@@ -76,6 +78,20 @@ class TestClassify:
             full_scan(25, PRECISION)
         with pytest.raises(ValueError):
             full_scan(1, PRECISION)
+
+    def test_order_guard_edge(self):
+        # the largest order the guard lets through is DEFAULT_MAX_ORDER
+        assert hunt.DEFAULT_MAX_ORDER == 24
+        hunt._check_order(24, False)
+        hunt._check_order(25, True)
+        with pytest.raises(ValueError, match="n = 25 exceeds the default "
+                                             "guard of 24"):
+            hunt._check_order(25, False)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_order_below_two_refused_by_its_message(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+            full_scan(n, PRECISION)
 
 
 def fraction_group(records):
@@ -206,6 +222,22 @@ class TestEquienergeticSearch:
         assert result.stats["graphs"] == 64
         assert result.stats["classes_total"] >= 1
         assert "elapsed_seconds" in result.stats
+
+    def test_noncospectral_pairs_exactly_equal(self):
+        # recounted over the noncospectral pairs of each equienergetic
+        # class; the first pairs that share an exact energy come at n = 14
+        counts = {}
+        for n in range(10, 15):
+            result = full_scan(n, PRECISION)
+            counts[n] = sum(
+                poly_a != poly_b and bool(families.exact_energy_equal(
+                    to_blocks(bits_a), to_blocks(bits_b)))
+                for cls in result.equienergetic
+                for a, (bits_a, poly_a) in enumerate(cls.members)
+                for bits_b, poly_b in cls.members[a + 1:])
+            assert (result.stats["noncospectral_pairs_exactly_equal"]
+                    == counts[n])
+        assert counts == {10: 0, 11: 0, 12: 0, 13: 0, 14: 10}
 
 
 class TestBorderenergetic:
@@ -379,6 +411,122 @@ class TestAgainstReference:
         _, classes = reference(12, COARSE)
         assert sum(len(cls.members) for cls in classes
                    if len(cls.members) > 1) == 823
+
+
+def graph_by_graph(n, precision):
+    """`_energy_from_parts` on every connected graph of order n, in
+    enumeration order: the list of its (lo, hi, den), or the first
+    ArithmeticError it raises."""
+    out = []
+    for idx in range(1 << (n - 2)):
+        blocks = to_blocks(nth_connected(n, idx))
+        rest = spectra._nontrivial_parts(blocks)[2]
+        try:
+            out.append(spectra._energy_from_parts(rest, blocks, precision))
+        except ArithmeticError as exc:
+            return exc
+    return out
+
+
+def fallbacks(monkeypatch):
+    """The `rest` of each graph the scan hands to `_energy_from_parts`."""
+    taken, real = [], hunt._energy_from_parts
+
+    def counted(rest, counts, precision):
+        taken.append(rest)
+        return real(rest, counts, precision)
+
+    monkeypatch.setattr(hunt, "_energy_from_parts", counted)
+    return taken
+
+
+def assert_scan_is_graph_by_graph(n, precision):
+    """`_scan_range` over the whole order gives `graph_by_graph` packed
+    onto its shift, or raises the same ArithmeticError."""
+    expected = graph_by_graph(n, precision)
+    args = (n, 0, 1 << (n - 2), precision)
+    if isinstance(expected, ArithmeticError):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            hunt._scan_range(args)
+        return
+    shift, lo, hi = hunt._scan_range(args)
+    assert shift == max(den.bit_length() - 1 for _, _, den in expected)
+    assert lo == [a << shift >> (den.bit_length() - 1)
+                  for a, _, den in expected]
+    assert hi == [b << shift >> (den.bit_length() - 1)
+                  for _, b, den in expected]
+
+
+def altered_cells(kind, altered):
+    """`_float_cells` with one wrong result of the given kind in place of
+    each real one that has a cell; the `g` of each is added to
+    `altered`."""
+    real = roots._float_cells
+
+    def cells(g, count, width, count_is_known=False):
+        found = real(g, count, width, count_is_known)
+        if found is None or not found[2] or (kind == "touching"
+                                             and len(found[2]) < 2):
+            return found
+        exact, reduced, cells = found[0], found[1], sorted(found[2])
+        lo, hi, den, v_lo, v_hi = cells[0]
+        if kind == "touching":
+            # the second cell moved down onto the first, its values kept
+            cells[1] = (hi, 2 * hi - lo) + cells[1][2:]
+        elif kind == "grid root":
+            # one more root, on the lower end of the lowest cell
+            exact = exact + [(lo, den, 1)]
+        elif kind == "no sign change":
+            cells[0] = (lo, hi, den, v_lo, v_lo)
+        else:  # one cell too few
+            del cells[0]
+        altered.add(g)
+        return exact, reduced, cells
+
+    return cells
+
+
+class TestScanRoutes:
+    """The scan sums a graph's float cells itself only where they are what
+    `_energy_from_parts` would sum; any other graph goes to
+    `_energy_from_parts`, and the scan's numerators are that route's."""
+
+    @pytest.mark.parametrize("precision, taken", [
+        (PRECISION, 129), (Fraction(1, 10 ** 3), 129),
+        # every target too deep for floats: every graph takes the fallback
+        (Fraction(1, 10 ** 30), 2047)])
+    def test_matches_energy_from_parts(self, monkeypatch, precision, taken):
+        # 129 of the 2,047 graphs with n <= 12 have a root on a grid point
+        fell_back = fallbacks(monkeypatch)
+        for n in range(2, 13):
+            assert_scan_is_graph_by_graph(n, precision)
+        assert len(fell_back) == taken
+
+    @pytest.mark.parametrize("kind", ["touching", "grid root",
+                                      "no sign change", "one cell too few"])
+    def test_wrong_cells_take_the_fallback(self, monkeypatch, kind):
+        altered = set()
+        wrong = altered_cells(kind, altered)
+        monkeypatch.setattr(roots, "_float_cells", wrong)
+        monkeypatch.setattr(hunt, "_float_cells", wrong)
+        fell_back = fallbacks(monkeypatch)
+        for n in range(2, 11):
+            assert_scan_is_graph_by_graph(n, PRECISION)
+        assert altered and altered <= set(fell_back)
+
+    @pytest.mark.parametrize("wrong_by", [1, -1, 2])
+    def test_a_wrong_count_raises_what_the_fallback_raises(
+            self, monkeypatch, wrong_by):
+        real = spectra._roots_above
+
+        def miscounted(counts, num, den):
+            return real(counts, num, den) + (wrong_by if num == 0 else 0)
+
+        monkeypatch.setattr(spectra, "_roots_above", miscounted)
+        monkeypatch.setattr(hunt, "_roots_above", miscounted)
+        for n in range(2, 9):
+            assert isinstance(graph_by_graph(n, PRECISION), ArithmeticError)
+            assert_scan_is_graph_by_graph(n, PRECISION)
 
 
 def held_bytes_per_graph(n):

@@ -17,6 +17,10 @@ from threshold_spectra import families, hunt, sequences, spectra
      "family parameter must be >= 1"),
     (hunt.full_scan, (4, -1), "precision must be positive"),
     (sequences.nth_connected, (1, 0), "need n >= 2"),
+    (hunt.full_scan, (4, 0), "precision must be positive"),
+    (hunt.full_scan, (1, 1), "need n >= 2, got 1"),
+    (spectra.energy, ((0, 1), 0), "precision must be positive"),
+    (spectra.energy, ((0, 1), -1), "precision must be positive"),
 ])
 def test_bad_input_raises_value_error(call, args, message):
     with pytest.raises(ValueError, match=message):

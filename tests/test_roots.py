@@ -662,7 +662,7 @@ def energy_roots(counts, rest, precision):
 def exact_route(monkeypatch):
     """Send every polynomial past the float route, to bisection."""
     monkeypatch.setattr(roots, "_float_roots",
-                        lambda p, start, limit: None)
+                        lambda p, start, limit, count: None)
 
 
 REAL_FLOAT_ROOTS = roots._float_roots
@@ -802,8 +802,8 @@ class TestFloatRoute:
         # enclosure would differ from bisection's
         width_of = {}
 
-        def wrong_roots(p, start, limit):
-            found = REAL_FLOAT_ROOTS(p, start, limit)
+        def wrong_roots(p, start, limit, count):
+            found = REAL_FLOAT_ROOTS(p, start, limit, count)
             if not found:
                 return found
             if wrong.startswith("shift"):
@@ -867,8 +867,9 @@ class TestFloatRoute:
         # the third float root repeats the first; with three roots its
         # parity lets the walk certify the first cell again
         p = mul(mul((-2, 0, 1), (-5, 0, 1)), (-10, 0, 1))
-        monkeypatch.setattr(roots, "_float_roots", lambda g, start, limit: [
-            10 ** 0.5, 5 ** 0.5, 10 ** 0.5])
+        monkeypatch.setattr(roots, "_float_roots",
+                            lambda g, start, limit, count: [
+                                10 ** 0.5, 5 ** 0.5, 10 ** 0.5])
         assert roots._float_cells(p, 3, Fraction(1, 10 ** 6)) is None
         assert (isolate_real_roots(p, Fraction(1, 10 ** 6), sturm_above(p))
                 == bisected_roots(p, Fraction(1, 10 ** 6), sturm_above(p)))
@@ -878,7 +879,7 @@ class TestFloatRoute:
         # double root 3 and sqrt(7) make three, not two
         p = mul(mul(poly_pow((-3, 1), 2), (-2, 0, 1)), (-7, 0, 1))
         monkeypatch.setattr(roots, "_float_roots",
-                            lambda g, start, limit: [3.0, 7 ** 0.5])
+                            lambda g, start, limit, count: [3.0, 7 ** 0.5])
         assert roots._float_cells(p, 2, Fraction(1, 10 ** 6)) is None
 
     def test_a_root_above_the_limit_declines_the_float_pass(
@@ -890,8 +891,8 @@ class TestFloatRoute:
         width = Fraction(1, 1 << 40)
         passes = []
 
-        def recorded(p, start, limit):
-            found = REAL_FLOAT_ROOTS(p, start, limit)
+        def recorded(p, start, limit, count):
+            found = REAL_FLOAT_ROOTS(p, start, limit, count)
             passes.append((p, start, limit, found))
             return found
 
@@ -925,9 +926,9 @@ class TestFloatRoute:
     def test_float_pass_starts_where_bisection_does(self, monkeypatch):
         starts = []
 
-        def recorded(p, start, limit):
+        def recorded(p, start, limit, count):
             starts.append((p, start))
-            return REAL_FLOAT_ROOTS(p, start, limit)
+            return REAL_FLOAT_ROOTS(p, start, limit, count)
 
         monkeypatch.setattr(roots, "_float_roots", recorded)
         for n in range(2, 11):
@@ -975,7 +976,7 @@ class TestFloatRoute:
         # x^2 - 2 changes sign on (0, infinity): no even count can be right
         if float_pass != "real":
             monkeypatch.setattr(roots, "_float_roots",
-                                lambda p, start, limit:
+                                lambda p, start, limit, count:
                                 None if float_pass == "none" else [])
         with pytest.raises(ArithmeticError,
                            match="0 positive roots counted, but the "

@@ -20,9 +20,13 @@ N.NNNs`, so a `--json` record stays JSON.  The gates:
   hunt         `hunt --n 2..14 --jobs 1 --json` and its `--csv` file,
                `hunt --n 12 --jobs 2 --json --csv`, whose enclosures
                come from forked worker processes on a host with two or
-               more CPUs, and `hunt --n 12 --precision 1e-2 --jobs 1
+               more CPUs, `hunt --n 12 --precision 1e-2 --jobs 1
                --json --csv`, where 823 of the 1,024 graphs share a
-               class, so most members and class ids are rebuilt
+               class, so most members and class ids are rebuilt, and
+               `hunt --n 11 --precision 1e-30 --jobs 1 --json --csv`,
+               a target too deep for floats, where every graph leaves
+               the scan's own float sum for `_energy_from_parts`; at
+               1e-10 only the graphs with a root on a grid point do
   family       `family four|six --i 1..20 --verify --json`
   oracle       `charpoly --oracle --json` for every connected sequence
                with n <= 11, criterion 1's corpus, and on 10 seeded block
@@ -179,6 +183,8 @@ def gates() -> list[tuple[str, list[str]]]:
     queries.append(("hunt", ["hunt", "--n", "12", "--jobs", "2", "--json",
                              "--csv", CSV_NAME]))
     queries.append(("hunt", ["hunt", "--n", "12", "--precision", "1e-2",
+                             "--jobs", "1", "--json", "--csv", CSV_NAME]))
+    queries.append(("hunt", ["hunt", "--n", "11", "--precision", "1e-30",
                              "--jobs", "1", "--json", "--csv", CSV_NAME]))
     for family in ("four", "six"):
         for i in range(1, 21):
